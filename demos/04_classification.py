@@ -1,9 +1,11 @@
 """Enumerate every small Hom-group and sort them into isomorphism classes.
 
-The search fixes the unit at index 0, takes the unit row (equal to the
-twist) from the unit-fixing permutations, and completes the rest of the
-table under Latin constraints with the twisted axioms propagated cell by
-cell.  At order 3 exactly one twisted structure survives.
+Every Hom-group with unit 0 is a group on the same carrier twisted by
+one of its automorphisms (untwist with g.h = alpha^-1(g*h)).  So the
+search fixes the unit at index 0, completes only the group tables under
+Latin constraints with associativity propagated cell by cell, and twists
+each table by every automorphism.  At order 3 exactly one twisted
+structure survives: the cyclic group twisted by negation.
 """
 
 from homgroups import (
@@ -38,8 +40,9 @@ other = twist(cyclic_group(3), (0, 2, 1))
 f = are_isomorphic(fixture("z3a"), other)
 print("witness onto the twisted cyclic group:", f.images)
 
-# Canonical forms are relabeling-invariant, which is how class counts
-# are computed: shuffle the non-unit indices any way you like.
+# Canonical forms are relabeling-invariant, which is how each class
+# gets its printed representative: shuffle the non-unit indices any way
+# you like.
 g6 = fixture("z6a")
 shuffled = relabel(g6, (0, 4, 1, 5, 2, 3))
 print(

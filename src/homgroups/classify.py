@@ -1,20 +1,42 @@
 """Exhaustive classification of small Hom-groups, isomorphism, canonical forms.
 
-The search completes Cayley tables cell by cell.  The unit row and column
-are pinned to the twist, Latin constraints prune candidate values, a zero
-in cell (i,j) forces a zero in (j,i), and both multiplicativity of the
-twist and twisted associativity are propagated as soon as the cells they
-mention are filled, forcing outer cells where one side of an instance is
-already known.  Every completed table is re-verified before it is emitted.
+Every Hom-group is a twisted group.  Let (G, *, alpha, 0) be a Hom-group
+with unit 0, so alpha is a bijective, multiplicative twist fixing 0, and
+define the untwisted product g.h = alpha^-1(g*h).  Then:
+
+- g.h is associative: (g.h).k = alpha^-2((g*h)*alpha(k))
+  = alpha^-2(alpha(g)*(h*k)) = g.(h.k), by twisted associativity;
+- 0 is its unit: g.0 = alpha^-1(g*0) = alpha^-1(alpha(g)) = g, and
+  likewise 0.g = g;
+- alpha is an automorphism of it, since alpha commutes with alpha^-1 and
+  is multiplicative for *;
+- twisting it back by alpha, g*h = alpha(g.h), returns the table.
+
+Conversely every group with unit 0 twisted by any of its automorphisms
+is a Hom-group with unit 0.  So the labeled Hom-groups with unit 0 on
+{0..n-1} correspond one to one with the pairs (group table with unit 0,
+automorphism of it), and the identity automorphism gives the ordinary
+groups.  The enumeration runs the cell-by-cell Latin-square search only
+for the identity twist, which finds the group tables, and twists each
+table by every automorphism; each emitted structure passes the full
+axiom check on construction.
+
+The reduction to isomorphism classes buckets structures by a cheap
+isomorphism invariant, tests each against the representatives already
+kept in its bucket with the isomorphism search, and computes the
+lex-minimal canonical form once per class.
 """
 
 from __future__ import annotations
 
+import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-from .core import HomGroup, Permutation, PermLike, _as_perm
+from .constructions import automorphisms_of, twist
+from .core import FiniteGroup, HomGroup, Permutation, PermLike, _as_perm, power_orbit
 
 
 class OrderGuardError(ValueError):
@@ -29,18 +51,37 @@ class SearchConfig:
     max_order_guard: int = 6
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
+        if type(self.order) is not int or self.order < 1:
+            raise ValueError(f"order must be an integer >= 1, got {self.order!r}")
 
 
-def _completions(alpha: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """All tables with unit 0 whose unit row/column equal alpha and which
-    satisfy the Latin, zero-symmetry, multiplicativity, and twisted
-    associativity constraints."""
-    n = len(alpha)
-    ainv = [0] * n
-    for i, v in enumerate(alpha):
-        ainv[v] = i
+class ClassifyStats:
+    """What one classification did: counts and seconds per phase.
+
+    Filled in by enumerate_hom_groups (search and twist phases) and
+    reduce_to_classes (reduce phase) when passed to them.
+    """
+
+    def __init__(self) -> None:
+        self.group_tables = 0
+        self.automorphisms = 0
+        self.structures = 0
+        self.bucket_sizes: list[int] = []
+        self.isomorphism_calls = 0
+        self.canonical_form_calls = 0
+        self.search_s = 0.0
+        self.twist_s = 0.0
+        self.reduce_s = 0.0
+
+
+def _group_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All group tables on {0..n-1} with unit 0.
+
+    Cells are filled row by row under Latin constraints; a zero in (i,j)
+    forces a zero in (j,i), and associativity g*(h*k) = (g*h)*k is
+    propagated as soon as the cells an instance mentions are filled,
+    forcing the one unknown outer cell when the other side is known.
+    """
     T = [[-1] * n for _ in range(n)]
     rowpos = [[-1] * n for _ in range(n)]
     row_mask = [0] * n
@@ -66,26 +107,22 @@ def _completions(alpha: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
         trail.append((i, j))
         if v == 0 and i != j and not assign(j, i, 0):
             return False
-        if not assign(alpha[i], alpha[j], alpha[v]):
-            return False
-        if not assign(ainv[i], ainv[j], ainv[v]):
-            return False
 
-        # Twisted associativity: alpha(g)*(h*k) = (g*h)*alpha(k).  The new
-        # cell can appear as either inner product or either outer product;
-        # resolve each instance that just became determined, forcing the
-        # one unknown outer cell when the opposite side is known.
+        # Associativity g*(h*k) = (g*h)*k.  The new cell can appear as
+        # either inner product or either outer product; resolve each
+        # instance that just became determined, forcing the one unknown
+        # outer cell when the opposite side is known.
         for g in range(n):  # inner left: (h,k) = (i,j)
             q = T[g][i]
             if q == -1:
                 continue
-            a = T[alpha[g]][v]
-            b = T[q][alpha[j]]
+            a = T[g][v]
+            b = T[q][j]
             if a == -1:
-                if b != -1 and not assign(alpha[g], v, b):
+                if b != -1 and not assign(g, v, b):
                     return False
             elif b == -1:
-                if not assign(q, alpha[j], a):
+                if not assign(q, j, a):
                     return False
             elif a != b:
                 return False
@@ -93,41 +130,39 @@ def _completions(alpha: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
             p = T[j][k]
             if p == -1:
                 continue
-            a = T[alpha[i]][p]
-            b = T[v][alpha[k]]
+            a = T[i][p]
+            b = T[v][k]
             if a == -1:
-                if b != -1 and not assign(alpha[i], p, b):
+                if b != -1 and not assign(i, p, b):
                     return False
             elif b == -1:
-                if not assign(v, alpha[k], a):
+                if not assign(v, k, a):
                     return False
             elif a != b:
                 return False
-        g3 = ainv[i]  # outer left: (i,j) = (alpha(g), h*k)
-        for h in range(n):
+        for h in range(n):  # outer left: (i,j) = (g, h*k)
             k = rowpos[h][j]
             if k == -1:
                 continue
-            q = T[g3][h]
+            q = T[i][h]
             if q == -1:
                 continue
-            b = T[q][alpha[k]]
+            b = T[q][k]
             if b == -1:
-                if not assign(q, alpha[k], v):
+                if not assign(q, k, v):
                     return False
             elif b != v:
                 return False
-        k4 = ainv[j]  # outer right: (i,j) = (g*h, alpha(k))
-        for g in range(n):
+        for g in range(n):  # outer right: (i,j) = (g*h, k)
             h = rowpos[g][i]
             if h == -1:
                 continue
-            p = T[h][k4]
+            p = T[h][j]
             if p == -1:
                 continue
-            a = T[alpha[g]][p]
+            a = T[g][p]
             if a == -1:
-                if not assign(alpha[g], p, v):
+                if not assign(g, p, v):
                     return False
             elif a != v:
                 return False
@@ -160,50 +195,92 @@ def _completions(alpha: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
                 search(idx + 1)
             undo(mark)
 
-    ok = all(assign(0, j, alpha[j]) for j in range(n))
-    if ok:
-        ok = all(assign(i, 0, alpha[i]) for i in range(1, n))
-    if ok:
+    if all(assign(0, j, j) for j in range(n)) and all(assign(i, 0, i) for i in range(1, n)):
         search(0)
     return results
 
 
-def enumerate_hom_groups(cfg: SearchConfig) -> list[HomGroup]:
+def enumerate_hom_groups(
+    cfg: SearchConfig, stats: Optional[ClassifyStats] = None
+) -> list[HomGroup]:
     """All Hom-groups on {0..order-1} with unit 0, sorted by table.
 
-    The unit row equals the twist, so the search ranges over unit-fixing
-    permutations as candidate first rows; the identity row is admitted
-    only when include_groups is set, since it forces an ordinary group.
-    With up_to_iso, one canonical representative per isomorphism class is
-    returned instead.
+    Each group table with unit 0 is twisted by each of its automorphisms;
+    the identity twist, which leaves an ordinary group, is kept only when
+    include_groups is set.  With up_to_iso, one canonical representative
+    per isomorphism class is returned instead.
     """
     if cfg.order > cfg.max_order_guard:
         raise OrderGuardError(
             f"order {cfg.order} exceeds guard {cfg.max_order_guard}; "
             "raise max_order_guard explicitly to search this far"
         )
-    n = cfg.order
-    identity = tuple(range(n))
+    stats = ClassifyStats() if stats is None else stats
+    start = time.perf_counter()
+    tables = _group_tables(cfg.order)
+    searched = time.perf_counter()
+    stats.group_tables += len(tables)
+    # One Permutation per distinct twist, shared by every structure it twists, saves memory.
+    twists: dict[tuple[int, ...], Permutation] = {}
     structures: list[HomGroup] = []
-    for rest in permutations(range(1, n)):
-        alpha = (0,) + rest
-        if not cfg.include_groups and alpha == identity:
-            continue
-        for table in _completions(alpha):
-            structures.append(HomGroup(table, alpha, unit=0))
+    while tables:
+        # Popping frees each group table once twisted, for the structures to reuse.
+        group = FiniteGroup(tables.pop())
+        autos = automorphisms_of(group)
+        stats.automorphisms += len(autos)
+        for alpha in autos:
+            if alpha.is_identity and not cfg.include_groups:
+                continue
+            structures.append(twist(group, twists.setdefault(alpha.images, alpha)))
     structures.sort(key=lambda g: g.table.entries)
+    stats.structures += len(structures)
+    stats.search_s += searched - start
+    stats.twist_s += time.perf_counter() - searched
     if cfg.up_to_iso:
-        structures = reduce_to_classes(structures)
+        structures = reduce_to_classes(structures, stats)
     return structures
 
 
-def reduce_to_classes(structures: list[HomGroup]) -> list[HomGroup]:
+def _invariant(G: HomGroup) -> tuple:
+    """Isomorphism invariant: twist cycle type, commutativity, the number
+    of x with x*x = unit, and the sorted (preperiod, period) of right
+    powers."""
+    t = G.table.entries
+    orbits = (power_orbit(G, x) for x in G.elements())
+    return (
+        G.alpha.cycle_type(),
+        G.table.is_symmetric(),
+        sum(t[x][x] == G.unit for x in G.elements()),
+        tuple(sorted((o.preperiod, o.period) for o in orbits)),
+    )
+
+
+def reduce_to_classes(
+    structures: list[HomGroup], stats: Optional[ClassifyStats] = None
+) -> list[HomGroup]:
     """One canonical representative per isomorphism class, sorted by table."""
-    reps: dict[tuple, HomGroup] = {}
-    for g in structures:
-        c = canonical_form(g)
-        reps.setdefault(c.table.entries, c)
-    return sorted(reps.values(), key=lambda g: g.table.entries)
+    stats = ClassifyStats() if stats is None else stats
+    start = time.perf_counter()
+    sizes: Counter[tuple] = Counter()
+    buckets: dict[tuple, list[HomGroup]] = {}
+    calls = 0
+    for G in structures:
+        key = _invariant(G)
+        sizes[key] += 1
+        reps = buckets.setdefault(key, [])
+        for R in reps:
+            calls += 1
+            if are_isomorphic(R, G) is not None:
+                break
+        else:
+            reps.append(G)
+    classes = [canonical_form(R) for reps in buckets.values() for R in reps]
+    classes.sort(key=lambda g: g.table.entries)
+    stats.bucket_sizes += sorted(sizes.values(), reverse=True)
+    stats.isomorphism_calls += calls
+    stats.canonical_form_calls += len(classes)
+    stats.reduce_s += time.perf_counter() - start
+    return classes
 
 
 def relabel(G: HomGroup, p: PermLike) -> HomGroup:

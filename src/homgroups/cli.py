@@ -76,14 +76,15 @@ def parse_document(path: str) -> dict:
     for key in ("order", "unit", "alpha", "table"):
         if key not in doc:
             raise DocumentError(f"{path}: missing key {key!r}")
+    # JSON true/false load as bool, a subclass of int: test the exact type.
     order = doc["order"]
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise DocumentError(f"{path}: order must be a positive integer")
-    if not isinstance(doc["unit"], int):
+    if type(doc["unit"]) is not int:
         raise DocumentError(f"{path}: unit must be an integer")
     alpha = doc["alpha"]
     if not isinstance(alpha, list) or len(alpha) != order or not all(
-        isinstance(v, int) for v in alpha
+        type(v) is int for v in alpha
     ):
         raise DocumentError(f"{path}: alpha must be a list of {order} integers")
     table = doc["table"]
@@ -91,7 +92,7 @@ def parse_document(path: str) -> dict:
         not isinstance(table, list)
         or len(table) != order
         or not all(
-            isinstance(row, list) and len(row) == order and all(isinstance(v, int) for v in row)
+            isinstance(row, list) and len(row) == order and all(type(v) is int for v in row)
             for row in table
         )
     ):
@@ -235,16 +236,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     guard = args.order if args.force else 6
+    stats = _classify.ClassifyStats()
     try:
         cfg = _classify.SearchConfig(
             order=args.order, include_groups=args.include_groups, max_order_guard=guard
         )
-        raw = _classify.enumerate_hom_groups(cfg)
+        raw = _classify.enumerate_hom_groups(cfg, stats)
     except _classify.OrderGuardError as exc:
         raise CliFailure(str(exc), TAG_GUARD)
     except ValueError as exc:
         raise CliFailure(str(exc), TAG_DOMAIN)
-    classes = _classify.reduce_to_classes(raw)
+    classes = _classify.reduce_to_classes(raw, stats)
     shown = classes if args.up_to_iso else raw
     kind = "class" if args.up_to_iso else "structure"
     print(f"order: {args.order}")
@@ -261,6 +263,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             name = f"homgroup_order{args.order}_{idx:03d}.json"
             (out / name).write_text(dumps_document(hom_group_to_document(G)) + "\n")
         print(f"emitted: {len(shown)} documents to {args.emit}")
+    if args.stats:
+        print(json.dumps(vars(stats), sort_keys=True), file=sys.stderr)
     return EXIT_OK
 
 
@@ -379,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--up-to-iso", action="store_true")
     p.add_argument("--force", action="store_true", help="override the order guard")
     p.add_argument("--emit", metavar="DIR", help="write shown structures as documents")
+    p.add_argument("--stats", action="store_true", help="write search counters as JSON to stderr")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("subgroups", help="list all Hom-subgroups")

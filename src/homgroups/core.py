@@ -36,7 +36,8 @@ class Permutation:
         n = len(images)
         if n == 0:
             raise ValueError("empty permutation")
-        if sorted(images) != list(range(n)):
+        # 1.0 == 1 and True == 1, so the bijection test alone admits them.
+        if not all(type(v) is int for v in images) or sorted(images) != list(range(n)):
             raise ValueError(f"not a bijection on 0..{n - 1}: {images}")
 
     @classmethod
@@ -118,7 +119,7 @@ class CayleyTable:
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
+                if type(v) is not int or not 0 <= v < n:
                     raise ValueError(f"entry ({i},{j}) = {v!r} outside 0..{n - 1}")
 
     @property
@@ -186,8 +187,8 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
     n = table.n
     if len(alpha) != n:
         raise ValueError(f"twist length {len(alpha)} != carrier size {n}")
-    if not 0 <= unit < n:
-        raise ValueError(f"unit {unit} outside 0..{n - 1}")
+    if type(unit) is not int or not 0 <= unit < n:
+        raise ValueError(f"unit {unit!r} outside 0..{n - 1}")
     a = alpha.images
     violations: list[tuple[str, tuple[int, ...]]] = []
 
@@ -341,8 +342,8 @@ class FiniteGroup:
         table = _as_table(table)
         t = table.entries
         n = table.n
-        if not 0 <= unit < n:
-            raise ValueError(f"unit {unit} outside 0..{n - 1}")
+        if type(unit) is not int or not 0 <= unit < n:
+            raise ValueError(f"unit {unit!r} outside 0..{n - 1}")
         for g in range(n):
             if t[unit][g] != g or t[g][unit] != g:
                 raise ValueError(f"unit law fails at {g}")

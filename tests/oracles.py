@@ -2,14 +2,17 @@
 
 Nothing here reuses the library's search or pruning machinery: Latin
 squares are generated row by row from raw permutations, divisions are
-found by scanning, and subgroups by filtering every subset.  The axiom
-checker itself is the one piece of the library the classification oracle
-is allowed to call, since it is what the oracle filters through.
+found by scanning, subgroups by filtering every subset, automorphisms by
+testing every bijection, and canonical forms by trying every
+relabeling.  The axiom checker itself is the one piece of the library the
+classification oracles are allowed to call, since it is what they filter
+through and how the groups written down by formula are checked.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial
 
 from homgroups.core import verify
 
@@ -87,13 +90,126 @@ def subgroups_by_subset_filter(G):
 
 
 def automorphisms_by_filter(group):
-    """All automorphisms of a small group by testing every bijection."""
-    n = group.n
-    t = group.table.entries
+    """All automorphisms of a small group by testing every bijection.
+
+    Takes a group object or a bare table."""
+    t = group if isinstance(group, tuple) else group.table.entries
+    n = len(t)
     found = []
     for images in permutations(range(n)):
         if all(
             images[t[g][k]] == t[images[g]][images[k]] for g in range(n) for k in range(n)
         ):
             found.append(images)
+    return sorted(found)
+
+
+def _table_by_formula(elements, product):
+    index = {e: i for i, e in enumerate(elements)}
+    return tuple(tuple(index[product(a, b)] for b in elements) for a in elements)
+
+
+# Products of the quaternion units 1, i, j, k (indices 0-3): (sign, unit).
+_QUATERNION_UNITS = (
+    ((1, 0), (1, 1), (1, 2), (1, 3)),
+    ((1, 1), (-1, 0), (1, 3), (-1, 2)),
+    ((1, 2), (-1, 3), (-1, 0), (1, 1)),
+    ((1, 3), (1, 2), (-1, 1), (-1, 0)),
+)
+
+
+def _quaternion_product(a, b):
+    sign, unit = _QUATERNION_UNITS[a[1]][b[1]]
+    return (a[0] * b[0] * sign, unit)
+
+
+def _dihedral_product(a, b):
+    # (r, s) stands for rot^r flip^s, with flip rot = rot^-1 flip
+    return ((a[0] + (-1) ** a[1] * b[0]) % 4, (a[1] + b[1]) % 2)
+
+
+def groups_of_order(n):
+    """Every group of order 7 or 8 up to isomorphism, as a table with unit 0.
+
+    Order 7 is prime, so Z7 is the only group; order 8 has the three
+    abelian groups Z8, Z4 x Z2, Z2^3 and the two nonabelian ones D4, Q8.
+    Each table is checked to be a group by the axiom checker with the
+    identity twist."""
+    cyclic = lambda m: _table_by_formula(range(m), lambda a, b: (a + b) % m)
+    if n == 7:
+        tables = [cyclic(7)]
+    elif n == 8:
+        pairs = [(a, b) for a in range(4) for b in range(2)]
+        quaternions = [(sign, u) for u in range(4) for sign in (1, -1)]
+        tables = [
+            cyclic(8),
+            _table_by_formula(pairs, lambda a, b: ((a[0] + b[0]) % 4, (a[1] + b[1]) % 2)),
+            _table_by_formula(range(8), lambda a, b: a ^ b),
+            _table_by_formula(pairs, _dihedral_product),
+            _table_by_formula(quaternions, _quaternion_product),
+        ]
+    else:
+        raise ValueError(f"no formula for the groups of order {n}")
+    for t in tables:
+        assert verify(t, tuple(range(n)), 0).valid
+    return tables
+
+
+def conjugacy_class_count(perms):
+    """Number of conjugacy classes of a group of permutations (image tuples)."""
+    n = len(perms[0])
+    classes = set()
+    for a in perms:
+        conjugates = []
+        for b in perms:
+            b_inv = [0] * n
+            for i, v in enumerate(b):
+                b_inv[v] = i
+            conjugates.append(tuple(b[a[b_inv[i]]] for i in range(n)))
+        classes.add(min(conjugates))
+    return len(classes)
+
+
+def hom_group_counts_by_automorphisms(n):
+    """Labeled Hom-groups with unit 0 on n points and their classes, as
+    {include_groups: (labeled, classes)}, for n = 7 or 8.
+
+    A Hom-group is a group twisted by one of its automorphisms.  By
+    orbit-stabilizer a group G has (n-1)!/|Aut G| labeled tables with
+    unit 0, each twisted by |Aut G| automorphisms: (n-1)! structures per
+    group, of which (n-1)!/|Aut G| are the untwisted tables.  Two twists
+    of G are isomorphic exactly when the automorphisms are conjugate in
+    Aut G, so G contributes one class per conjugacy class of Aut G, one of
+    which is the identity twist."""
+    labeled_all = classes_all = group_tables = 0
+    groups = groups_of_order(n)
+    for t in groups:
+        autos = automorphisms_by_filter(t)
+        labeled_all += factorial(n - 1)
+        group_tables += factorial(n - 1) // len(autos)
+        classes_all += conjugacy_class_count(autos)
+    return {
+        True: (labeled_all, classes_all),
+        False: (labeled_all - group_tables, classes_all - len(groups)),
+    }
+
+
+def lexmin_classes(structures):
+    """Sorted distinct lex-minimal tables of (table, unit) pairs, minimizing
+    the flattened table over every relabeling that sends the unit to 0."""
+    found = set()
+    for table, unit in structures:
+        n = len(table)
+        best = None
+        for order in permutations(range(n)):
+            if order[0] != unit:
+                continue
+            # order[k] is the old element that gets new label k
+            new = [0] * n
+            for k, old in enumerate(order):
+                new[old] = k
+            flat = tuple(new[table[a][b]] for a in order for b in order)
+            if best is None or flat < best:
+                best = flat
+        found.add(tuple(best[i * n : (i + 1) * n] for i in range(n)))
     return sorted(found)

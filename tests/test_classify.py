@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,12 @@ from homgroups import (
     twist,
     verify,
 )
-from oracles import drop_identity_twist, hom_groups_by_latin_filter
+from oracles import (
+    drop_identity_twist,
+    hom_group_counts_by_automorphisms,
+    hom_groups_by_latin_filter,
+    lexmin_classes,
+)
 
 
 def _witness_ok(G, H, f):
@@ -82,6 +89,11 @@ class TestEnumerate:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             SearchConfig(order=0)
+
+    @pytest.mark.parametrize("order", [True, 3.0, "3"])
+    def test_order_must_be_an_int(self, order):
+        with pytest.raises(ValueError):
+            SearchConfig(order=order)
 
 
 class TestIsomorphism:
@@ -209,3 +221,41 @@ class TestClassifyOrder:
     def test_reduce_to_classes_drops_duplicates(self, z6a):
         moved = relabel(z6a, (0, 3, 1, 4, 2, 5))
         assert len(reduce_to_classes([z6a, moved])) == 1
+
+
+class TestReduceAgainstLexMinOracle:
+    """reduce_to_classes against an independent lex-min relabeling loop."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_all_labeled_structures(self, n):
+        structures = enumerate_hom_groups(SearchConfig(order=n, include_groups=True))
+        expected = lexmin_classes([(G.table.entries, G.unit) for G in structures])
+        rng = random.Random(n)
+
+        shuffled = list(structures)
+        rng.shuffle(shuffled)
+        relabeled = [relabel(G, rng.sample(range(n), n)) for G in structures]
+        for inputs in (structures, shuffled, relabeled):
+            classes = reduce_to_classes(inputs)
+            assert [G.table.entries for G in classes] == expected
+            assert all(G.unit == 0 and G.alpha.images == G.table.entries[0] for G in classes)
+
+
+class TestCountsPastOrderSix:
+    """Counts at orders 7 and 8, pinned against the (group, automorphism)
+    oracle, which lists the groups by formula and counts by
+    orbit-stabilizer and conjugacy classes of automorphisms."""
+
+    @pytest.mark.parametrize(
+        "n, include_groups, counts",
+        [
+            (7, True, (720, 6)),
+            (7, False, (600, 5)),
+            (8, True, (25200, 25)),
+            (8, False, (22440, 20)),
+        ],
+    )
+    def test_classify_order_matches_oracle(self, n, include_groups, counts):
+        assert hom_group_counts_by_automorphisms(n)[include_groups] == counts
+        report = classify_order(n, include_groups=include_groups, max_order_guard=n)
+        assert (report.raw_count, report.class_count) == counts

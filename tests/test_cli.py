@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from homgroups import SearchConfig, enumerate_hom_groups, fixture, relabel
 from homgroups.cli import (
     dumps_document,
@@ -80,6 +82,19 @@ class TestVerifyCommand:
         assert code == 2
         assert out.rstrip().splitlines()[-1] == "error: parse-error"
 
+    @pytest.mark.parametrize(
+        "key, value", [("order", True), ("unit", False), ("alpha", [False]), ("table", [[False]])]
+    )
+    def test_json_booleans_are_not_indices(self, tmp_path, capsys, key, value):
+        # true/false load as bool, which Python treats as the ints 1 and 0
+        doc = {"order": 1, "unit": 0, "alpha": [0], "table": [[0]]}
+        doc[key] = value
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out.rstrip().splitlines()[-1] == "error: parse-error"
+
 
 class TestClassifyCommand:
     def test_order_three_golden(self, capsys):
@@ -96,6 +111,22 @@ class TestClassifyCommand:
         _, first = run(capsys, "classify", "--order", "4", "--up-to-iso")
         _, second = run(capsys, "classify", "--order", "4", "--up-to-iso")
         assert first == second
+
+    def test_stats_line_on_stderr(self, capsys):
+        _, plain = run(capsys, "classify", "--order", "4", "--include-groups", "--up-to-iso")
+        code = main(["classify", "--order", "4", "--include-groups", "--up-to-iso", "--stats"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == plain
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        stats = json.loads(lines[0])
+        assert stats["group_tables"] == 4
+        assert stats["automorphisms"] == stats["structures"] == 12
+        assert sum(stats["bucket_sizes"]) == 12
+        assert stats["canonical_form_calls"] == 5
+        assert stats["isomorphism_calls"] >= 12 - len(stats["bucket_sizes"])
+        assert all(stats[k] >= 0 for k in ("search_s", "twist_s", "reduce_s"))
 
     def test_guard_refused(self, capsys):
         code, out = run(capsys, "classify", "--order", "7")

@@ -42,6 +42,12 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(())
 
+    @pytest.mark.parametrize("images", [(0, 1.0), (0, True), (False, 1), (0, "1")])
+    def test_rejects_non_int_images(self, images):
+        # each of these compares equal to (0, 1) after sorting
+        with pytest.raises(ValueError):
+            Permutation(images)
+
     @given(perm_images)
     def test_inverse_roundtrip(self, images):
         p = Permutation(tuple(images))
@@ -72,6 +78,11 @@ class TestCayleyTable:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             CayleyTable(((0, 2), (1, 0)))
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0])
+    def test_rejects_non_int_entries(self, bad):
+        with pytest.raises(ValueError):
+            CayleyTable(((0, 1), (1, bad)))
 
     def test_symmetry(self, z6a, d3a):
         assert z6a.table.is_symmetric()
@@ -127,6 +138,15 @@ class TestVerify:
             verify(z3a.table, (0, 1), 0)
         with pytest.raises(ValueError):
             verify(z3a.table, z3a.alpha, 5)
+
+    @pytest.mark.parametrize("unit", [False, True, 0.0])
+    def test_unit_must_be_an_int(self, z3a, unit):
+        with pytest.raises(ValueError):
+            verify(z3a.table, z3a.alpha, unit)
+        with pytest.raises(ValueError):
+            HomGroup(z3a.table, z3a.alpha, unit)
+        with pytest.raises(ValueError):
+            FiniteGroup(((0, 1), (1, 0)), unit)
 
 
 class TestConstruction:
