@@ -3,9 +3,10 @@
 The free span of the carrier gets: the table as product, the diagonal
 coproduct, the constant-one counit, inversion as antipode, and the pair
 of twists (alpha, identity).  Since every structure map is basis-to-basis,
-checking the axioms on basis elements settles them for the whole span,
-and the subobject dimensions are exactly the Hom-subgroup sizes -- so
-they divide the carrier size.
+checking the axioms on basis elements settles them for the whole span;
+on basis elements they are identities of the Cayley table, the twist and
+the inversion map.  The subobject dimensions are exactly the Hom-subgroup
+sizes -- so they divide the carrier size.
 """
 
 import dataclasses

@@ -47,7 +47,6 @@ class OrderGuardError(ValueError):
 class SearchConfig:
     order: int
     include_groups: bool = False
-    up_to_iso: bool = False
     max_order_guard: int = 6
 
     def __post_init__(self):
@@ -207,8 +206,8 @@ def enumerate_hom_groups(
 
     Each group table with unit 0 is twisted by each of its automorphisms;
     the identity twist, which leaves an ordinary group, is kept only when
-    include_groups is set.  With up_to_iso, one canonical representative
-    per isomorphism class is returned instead.
+    include_groups is set.  Every labeled structure is returned; pass the
+    list to reduce_to_classes for one representative per isomorphism class.
     """
     if cfg.order > cfg.max_order_guard:
         raise OrderGuardError(
@@ -236,8 +235,6 @@ def enumerate_hom_groups(
     stats.structures += len(structures)
     stats.search_s += searched - start
     stats.twist_s += time.perf_counter() - searched
-    if cfg.up_to_iso:
-        structures = reduce_to_classes(structures, stats)
     return structures
 
 

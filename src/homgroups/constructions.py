@@ -11,6 +11,7 @@ from .core import (
     Permutation,
     PermLike,
     _as_perm,
+    _check_index,
 )
 
 
@@ -136,8 +137,7 @@ def automorphisms_of(G: FiniteGroup) -> list[Permutation]:
 
 def inner_automorphism(G: FiniteGroup, s: int) -> Permutation:
     """Conjugation x -> (s*x)*s^-1."""
-    if not 0 <= s < G.n:
-        raise ValueError(f"index {s} outside 0..{G.n - 1}")
+    _check_index(G, s)
     t = G.table.entries
     s_inv = G.inverses[s]
     return Permutation(tuple(t[t[s][x]][s_inv] for x in range(G.n)))

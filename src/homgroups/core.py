@@ -396,9 +396,9 @@ class FiniteGroup:
         return f"FiniteGroup(n={self.n}, unit={self.unit})"
 
 
-def _check_index(G: HomGroup, i: int, name: str = "index") -> None:
-    if not 0 <= i < G.n:
-        raise ValueError(f"{name} {i} outside 0..{G.n - 1}")
+def _check_index(G: Union[HomGroup, FiniteGroup], i: int, name: str = "index") -> None:
+    if type(i) is not int or not 0 <= i < G.n:
+        raise ValueError(f"{name} {i!r} outside 0..{G.n - 1}")
 
 
 def mul(G: HomGroup, a: int, b: int) -> int:

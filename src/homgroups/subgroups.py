@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .core import HomGroup, Side
+from .core import HomGroup, Side, _check_index
 
 
 @dataclass(frozen=True)
@@ -16,11 +16,7 @@ class SubsetHandle:
     members: frozenset[int]
 
     def __post_init__(self):
-        members = frozenset(self.members)
-        object.__setattr__(self, "members", members)
-        bad = [i for i in members if not 0 <= i < self.parent.n]
-        if bad:
-            raise ValueError(f"members outside carrier: {sorted(bad)}")
+        object.__setattr__(self, "members", _as_members(self.parent, self.members))
 
     @property
     def bitmask(self) -> int:
@@ -62,8 +58,11 @@ SubsetLike = Union[SubsetHandle, Iterable[int]]
 
 def _as_members(G: HomGroup, S: SubsetLike) -> frozenset[int]:
     members = frozenset(S.members if isinstance(S, SubsetHandle) else S)
-    bad = [i for i in members if not 0 <= i < G.n]
+    bad = [i for i in members if type(i) is not int or not 0 <= i < G.n]
     if bad:
+        wrong = [i for i in bad if type(i) is not int]
+        if wrong:
+            raise ValueError(f"non-integer members: {wrong!r}")
         raise ValueError(f"members outside carrier: {sorted(bad)}")
     return members
 
@@ -125,8 +124,7 @@ def enumerate_hom_subgroups(G: HomGroup) -> list[SubsetHandle]:
 
 def coset(G: HomGroup, H: SubsetLike, g: int, side: Side = "left") -> Coset:
     """The coset g*H (left) or H*g (right); always the same size as H."""
-    if not 0 <= g < G.n:
-        raise ValueError(f"index {g} outside 0..{G.n - 1}")
+    _check_index(G, g)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     defect = subgroup_defect(G, H)
@@ -230,8 +228,7 @@ def centralizer(G: HomGroup, x: int) -> SubsetHandle:
     closed under the product when the twist moves x, so the result is not
     always a Hom-subgroup; use is_hom_subgroup to test the returned set.
     """
-    if not 0 <= x < G.n:
-        raise ValueError(f"index {x} outside 0..{G.n - 1}")
+    _check_index(G, x)
     t = G.table.entries
     members = frozenset(g for g in range(G.n) if t[g][x] == t[x][g])
     return SubsetHandle(G, members)

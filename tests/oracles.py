@@ -213,3 +213,42 @@ def lexmin_classes(structures):
                 best = flat
         found.add(tuple(best[i * n : (i + 1) * n] for i in range(n)))
     return sorted(found)
+
+
+def hopf_violations_by_scan(table, alpha, unit, antipode):
+    """The twisted Hopf identities of the span of a table that can fail,
+    each with its lexicographically least failing basis tuple.
+
+    Works on plain lists: every failing tuple is collected and the least
+    one kept.  The coalgebra identities are absent because the diagonal
+    coproduct, the constant-one counit and the identity cotwist satisfy
+    them for any data.
+    """
+    n = len(table)
+    elems = range(n)
+    found = []
+
+    assoc = [
+        (g, h, k)
+        for g in elems
+        for h in elems
+        for k in elems
+        if table[alpha[g]][table[h][k]] != table[table[g][h]][alpha[k]]
+    ]
+    if assoc:
+        found.append(("algebra-assoc", min(assoc)))
+
+    if alpha[unit] != unit:
+        found.append(("algebra-unit", (unit,)))
+    else:
+        off = [g for g in elems if not table[g][unit] == table[unit][g] == alpha[g]]
+        if off:
+            found.append(("algebra-unit", (min(off),)))
+
+    off = [g for g in elems if not table[antipode[g]][g] == table[g][antipode[g]] == unit]
+    if off:
+        found.append(("antipode", (min(off),)))
+
+    if antipode[unit] != unit:
+        found.append(("antipode-unit", (unit,)))
+    return found

@@ -179,6 +179,11 @@ class TestInnerAutomorphism:
         with pytest.raises(ValueError):
             inner_automorphism(dihedral_group(3), 6)
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0])
+    def test_element_must_be_an_int(self, bad):
+        with pytest.raises(ValueError):
+            inner_automorphism(dihedral_group(3), bad)
+
 
 class TestDirectProduct:
     def test_order_nine_product_verifies(self, z3a):

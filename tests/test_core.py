@@ -196,6 +196,23 @@ class TestMul:
         with pytest.raises(ValueError):
             mul(z3a, 0, 3)
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0])
+    def test_index_must_be_an_int(self, z3a, bad):
+        # True would otherwise read row 1, and 1.0 fail with a TypeError
+        for call in (
+            lambda: mul(z3a, bad, 1),
+            lambda: mul(z3a, 0, bad),
+            lambda: alpha_apply(z3a, bad, 1),
+            lambda: inverse_of(z3a, bad),
+            lambda: left_divide(z3a, bad, 0),
+            lambda: right_divide(z3a, 0, bad),
+            lambda: right_power(z3a, bad, 2),
+            lambda: left_power(z3a, bad, 2),
+            lambda: power_orbit(z3a, bad),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
 
 class TestAlphaApply:
     def test_known_value(self, z6a):

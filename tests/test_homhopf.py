@@ -1,8 +1,10 @@
 import dataclasses
+import random
 
 import pytest
 
 from homgroups import (
+    CayleyTable,
     FormalElement,
     FormalTensor,
     GroupHopfAlgebra,
@@ -21,8 +23,50 @@ from homgroups import (
     twist,
     verify_hom_hopf,
 )
+from oracles import hopf_violations_by_scan
 
 TRIVIAL = HomGroup(((0,),), (0,), 0)
+
+
+def _hopf_cases():
+    """The span of every structure of order 1-5, and for each of order at
+    least 2 three seeded corruptions: one antipode image, the twist, and
+    one table cell, each changed to a different value."""
+    rng = random.Random(20181)
+    cases = []
+    for n in range(1, 6):
+        for G in enumerate_hom_groups(SearchConfig(order=n, include_groups=True)):
+            A = build_group_hopf(G)
+            cases.append(A)
+            if n == 1:
+                continue
+            antipode = list(A.antipode)
+            i = rng.randrange(n)
+            antipode[i] = (antipode[i] + rng.randrange(1, n)) % n
+            cases.append(dataclasses.replace(A, antipode=tuple(antipode)))
+            images = list(A.alpha.images)
+            while images == list(A.alpha.images):
+                rng.shuffle(images)
+            cases.append(dataclasses.replace(A, alpha=Permutation(tuple(images))))
+            table = [list(row) for row in A.product.entries]
+            i, j = rng.randrange(n), rng.randrange(n)
+            table[i][j] = (table[i][j] + rng.randrange(1, n)) % n
+            cases.append(dataclasses.replace(A, product=CayleyTable(table)))
+    return cases
+
+
+def _outer(x, t):
+    """x (x) t for a formal element x and a tensor t."""
+    return FormalTensor(
+        t.rank + 1, {(i,) + k: a * b for i, a in x.coeffs.items() for k, b in t.coeffs.items()}
+    )
+
+
+def _outer_right(t, x):
+    """t (x) x for a tensor t and a formal element x."""
+    return FormalTensor(
+        t.rank + 1, {k + (i,): b * a for k, b in t.coeffs.items() for i, a in x.coeffs.items()}
+    )
 
 
 class TestFormalElements:
@@ -76,6 +120,15 @@ class TestBuild:
                 beta=Permutation((0, 2, 1)),
             )
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("unit", True), ("unit", 0.0), ("antipode", (0, 2.0, 1)), ("antipode", (False, 2, 1))],
+    )
+    def test_non_int_unit_or_antipode_rejected(self, z3a, field, value):
+        # a bool would otherwise index the table as 0 or 1
+        with pytest.raises(ValueError):
+            dataclasses.replace(build_group_hopf(z3a), **{field: value})
+
     def test_bad_antipode_length(self, z3a):
         with pytest.raises(ValueError):
             GroupHopfAlgebra(
@@ -115,6 +168,51 @@ class TestVerifyHomHopf:
         for n in range(1, 6):
             for G in enumerate_hom_groups(SearchConfig(order=n, include_groups=True)):
                 assert verify_hom_hopf(build_group_hopf(G)).valid
+
+    def test_matches_scan_oracle(self):
+        seen = set()
+        for A in _hopf_cases():
+            expected = hopf_violations_by_scan(
+                [list(row) for row in A.product.entries],
+                list(A.alpha.images),
+                A.unit,
+                list(A.antipode),
+            )
+            report = verify_hom_hopf(A)
+            assert list(report.violations) == expected, A
+            assert report.valid == (not expected)
+            seen.update(report.tags())
+        # the corruptions reach every identity that depends on the data
+        assert seen == {"algebra-assoc", "algebra-unit", "antipode", "antipode-unit"}
+
+    def test_coalgebra_identities_hold_by_construction(self):
+        # The identities verify_hom_hopf does not check, through the linear maps.
+        for A in _hopf_cases():
+            e = FormalElement.basis
+            one = A.unit_element()
+            assert A.coproduct_of(one) == FormalTensor.basis((A.unit, A.unit))
+            assert A.counit_of(one) == 1
+            for g in range(A.n):
+                delta = A.coproduct_of(e(g))
+                lhs = FormalTensor(3)
+                rhs = FormalTensor(3)
+                left = FormalElement.zero()
+                right = FormalElement.zero()
+                for (c1, c2), c in delta.coeffs.items():
+                    lhs = lhs + _outer(A.cotwist_of(e(c1)), A.coproduct_of(e(c2))).scale(c)
+                    rhs = rhs + _outer_right(A.coproduct_of(e(c1)), A.cotwist_of(e(c2))).scale(c)
+                    left = left + e(c1).scale(c * A.counit_of(e(c2)))
+                    right = right + e(c2).scale(c * A.counit_of(e(c1)))
+                assert lhs == rhs, ("coassociativity", g)
+                assert left == right == A.cotwist_of(e(g)), ("counit", g)
+                assert A.counit_of(A.twist_of(e(g))) == A.counit_of(e(g)), ("counit-twist", g)
+                assert A.counit_of(A.antipode_of(e(g))) == A.counit_of(e(g)), ("antipode-counit", g)
+                for h in range(A.n):
+                    gh = A.product_of(e(g), e(h))
+                    assert A.coproduct_of(gh) == A.tensor_product_of(
+                        delta, A.coproduct_of(e(h))
+                    ), ("coproduct-product", g, h)
+                    assert A.counit_of(gh) == A.counit_of(e(g)) * A.counit_of(e(h))
 
 
 class TestGroupLike:

@@ -58,6 +58,11 @@ class TestIsHomSubgroup:
         with pytest.raises(ValueError):
             is_hom_subgroup(z3a, {0, 9})
 
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_non_int_member_rejected(self, z3a, bad):
+        with pytest.raises(ValueError, match="non-integer"):
+            is_hom_subgroup(z3a, [0, bad])
+
 
 class TestEnumerate:
     def test_z6a_exact_list(self, z6a):
@@ -111,6 +116,11 @@ class TestCoset:
     def test_rejects_bad_side(self, z6a):
         with pytest.raises(ValueError):
             coset(z6a, [0, 3], 1, "middle")
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0])
+    def test_element_must_be_an_int(self, z3a, bad):
+        with pytest.raises(ValueError, match="index"):
+            coset(z3a, [0], bad)
 
 
 class TestCosetPartition:
@@ -217,6 +227,11 @@ class TestCentralizer:
         with pytest.raises(ValueError):
             centralizer(z3a, 3)
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0])
+    def test_element_must_be_an_int(self, z3a, bad):
+        with pytest.raises(ValueError):
+            centralizer(z3a, bad)
+
 
 class TestCauchy:
     def test_z6a_witnesses(self, z6a):
@@ -268,3 +283,8 @@ class TestSubsetHandle:
     def test_rejects_out_of_range(self, z3a):
         with pytest.raises(ValueError):
             SubsetHandle(z3a, frozenset({5}))
+
+    @pytest.mark.parametrize("members", [{0, True}, {0, 1.0}, (1, False)])
+    def test_rejects_non_int_members(self, z3a, members):
+        with pytest.raises(ValueError, match="non-integer"):
+            SubsetHandle(z3a, members)
