@@ -23,8 +23,9 @@ axiom check on construction.
 
 The reduction to isomorphism classes buckets structures by a cheap
 isomorphism invariant, tests each against the representatives already
-kept in its bucket with the isomorphism search, and computes the
-lex-minimal canonical form once per class.
+kept in its bucket with the isomorphism search that also finds the
+automorphisms, and computes the lex-minimal canonical form once per class.
+classify_order runs the enumeration and the reduction together.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-from .constructions import automorphisms_of, twist
+from .constructions import _isomorphisms, automorphisms_of, twist
 from .core import FiniteGroup, HomGroup, Permutation, PermLike, _as_perm, power_orbit
 
 
@@ -323,95 +324,42 @@ def canonical_form(G: HomGroup) -> HomGroup:
 
 
 def are_isomorphic(G: HomGroup, H: HomGroup) -> Optional[Permutation]:
-    """A bijection matching products and intertwining the twists, or None.
+    """The lexicographically least isomorphism from G to H, or None.
 
-    Any such map must send unit to unit, so the search assigns images
-    starting there, propagating twist orbits, inverses, and products of
-    placed elements; twist cycle types are compared first as a cheap
-    rejection.
+    An isomorphism matches products and intertwines the twists; the search
+    is the one that automorphisms_of runs from G to itself.
     """
-    n = G.n
-    if H.n != n:
-        return None
-    if G.alpha.cycle_type() != H.alpha.cycle_type():
-        return None
-    ta, tb = G.table.entries, H.table.entries
-    aa, ab = G.alpha.images, H.alpha.images
-    ia, ib = G.inverses, H.inverses
-    f = [-1] * n
-    used = [False] * n
-
-    def assign(a: int, b: int, trail: list[int]) -> bool:
-        if f[a] != -1:
-            return f[a] == b
-        if used[b]:
-            return False
-        f[a] = b
-        used[b] = True
-        trail.append(a)
-        if not assign(aa[a], ab[b], trail):
-            return False
-        if not assign(ia[a], ib[b], trail):
-            return False
-        for x in range(n):
-            fx = f[x]
-            if fx == -1:
-                continue
-            if not assign(ta[a][x], tb[b][fx], trail):
-                return False
-            if not assign(ta[x][a], tb[fx][b], trail):
-                return False
-        return True
-
-    def undo(trail: list[int]) -> None:
-        for a in reversed(trail):
-            used[f[a]] = False
-            f[a] = -1
-
-    root: list[int] = []
-    if not assign(G.unit, H.unit, root):
-        return None
-
-    def backtrack() -> Optional[Permutation]:
-        a = 0
-        while a < n and f[a] != -1:
-            a += 1
-        if a == n:
-            return Permutation(tuple(f))
-        for b in range(n):
-            if used[b]:
-                continue
-            trail: list[int] = []
-            if assign(a, b, trail):
-                result = backtrack()
-                if result is not None:
-                    return result
-            undo(trail)
-        return None
-
-    return backtrack()
+    return next(_isomorphisms(G, H), None)
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
     order: int
     include_groups: bool
-    raw_count: int
-    class_count: int
+    structures: tuple[HomGroup, ...]
     representatives: tuple[HomGroup, ...]
+
+    @property
+    def raw_count(self) -> int:
+        return len(self.structures)
+
+    @property
+    def class_count(self) -> int:
+        return len(self.representatives)
 
 
 def classify_order(
-    n: int, include_groups: bool = False, max_order_guard: int = 6
+    n: int,
+    include_groups: bool = False,
+    max_order_guard: int = 6,
+    stats: Optional[ClassifyStats] = None,
 ) -> ClassificationReport:
-    """Labeled and up-to-isomorphism counts at one order, with class reps."""
+    """Every labeled structure at one order and one representative per class.
+
+    enumerate_hom_groups followed by reduce_to_classes; pass stats to
+    collect the counts and timings of both.
+    """
     cfg = SearchConfig(order=n, include_groups=include_groups, max_order_guard=max_order_guard)
-    raw = enumerate_hom_groups(cfg)
-    classes = reduce_to_classes(raw)
-    return ClassificationReport(
-        order=n,
-        include_groups=include_groups,
-        raw_count=len(raw),
-        class_count=len(classes),
-        representatives=tuple(classes),
-    )
+    structures = enumerate_hom_groups(cfg, stats)
+    classes = reduce_to_classes(structures, stats)
+    return ClassificationReport(n, include_groups, tuple(structures), tuple(classes))

@@ -21,7 +21,6 @@ from . import homhopf as _homhopf
 from . import subgroups as _subgroups
 from .core import (
     AxiomReport,
-    FiniteGroup,
     HomGroup,
     InvalidStructureError,
     Permutation,
@@ -188,9 +187,9 @@ def _parse_perm_spec(spec: str, n: int) -> Permutation:
         raise CliFailure(f"bad map: {exc}", TAG_DOMAIN)
 
 
-def _load_group_operand(spec: str) -> FiniteGroup:
+def _load_group_operand(spec: str) -> HomGroup:
     """Group operand for twisting: zn:k, dn:k, or a document path whose
-    structure has the identity twist."""
+    structure has the identity twist, which makes it a group."""
     if spec.startswith("zn:") or spec.startswith("dn:"):
         kind, _, num = spec.partition(":")
         try:
@@ -209,7 +208,7 @@ def _load_group_operand(spec: str) -> FiniteGroup:
             f"{spec}: twisting needs a plain group, but the document's twist is not the identity",
             TAG_DOMAIN,
         )
-    return FiniteGroup(G.table, unit=G.unit, labels=G.labels)
+    return G
 
 
 def _require_subgroup(G: HomGroup, members: Sequence[int]) -> _subgroups.SubsetHandle:
@@ -238,21 +237,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
     guard = args.order if args.force else 6
     stats = _classify.ClassifyStats()
     try:
-        cfg = _classify.SearchConfig(
-            order=args.order, include_groups=args.include_groups, max_order_guard=guard
-        )
-        raw = _classify.enumerate_hom_groups(cfg, stats)
+        report = _classify.classify_order(args.order, args.include_groups, guard, stats)
     except _classify.OrderGuardError as exc:
         raise CliFailure(str(exc), TAG_GUARD)
     except ValueError as exc:
         raise CliFailure(str(exc), TAG_DOMAIN)
-    classes = _classify.reduce_to_classes(raw, stats)
-    shown = classes if args.up_to_iso else raw
+    shown = report.representatives if args.up_to_iso else report.structures
     kind = "class" if args.up_to_iso else "structure"
     print(f"order: {args.order}")
     print(f"include-groups: {'true' if args.include_groups else 'false'}")
-    print(f"structures: {len(raw)}")
-    print(f"iso-classes: {len(classes)}")
+    print(f"structures: {report.raw_count}")
+    print(f"iso-classes: {report.class_count}")
     for idx, G in enumerate(shown, start=1):
         print(f"{kind} {idx}:")
         print(render_text(G))
@@ -322,9 +317,10 @@ def cmd_twist(args: argparse.Namespace) -> int:
             print(",".join(str(v) for v in p.images))
         return EXIT_OK
     if args.conjugate is not None:
-        if not 0 <= args.conjugate < G.n:
-            raise CliFailure(f"index {args.conjugate} outside 0..{G.n - 1}", TAG_DOMAIN)
-        alpha = _constructions.inner_automorphism(G, args.conjugate)
+        try:
+            alpha = _constructions.inner_automorphism(G, args.conjugate)
+        except ValueError as exc:
+            raise CliFailure(str(exc), TAG_DOMAIN)
     else:
         alpha = _parse_perm_spec(args.auto, G.n)
     try:

@@ -1,9 +1,13 @@
-"""Build Hom-groups: twisted groups, products, automorphisms, stock tables."""
+"""Build Hom-groups: twisted groups, products, automorphisms, stock tables.
+
+Automorphisms and isomorphisms come from one backtracking search, since an
+automorphism is an isomorphism of a structure with itself.
+"""
 
 from __future__ import annotations
 
 import re
-from typing import Union
+from typing import Iterator
 
 from .core import (
     FiniteGroup,
@@ -12,6 +16,7 @@ from .core import (
     PermLike,
     _as_perm,
     _check_index,
+    _multiplicativity_witness,
 )
 
 
@@ -60,79 +65,86 @@ def dihedral_group(n: int) -> FiniteGroup:
     return FiniteGroup(table, unit=0, labels=labels)
 
 
-def _multiplicativity_witness(G: FiniteGroup, f: Permutation) -> Union[tuple[int, int], None]:
-    t = G.table.entries
-    im = f.images
-    for g in range(G.n):
-        for k in range(G.n):
-            if im[t[g][k]] != t[im[g]][im[k]]:
-                return (g, k)
-    return None
-
-
 def is_automorphism(G: FiniteGroup, f: PermLike) -> bool:
     """True iff f is a multiplicative bijection of G (hence unit-fixing)."""
     f = _as_perm(f)
     if len(f) != G.n:
         return False
-    return _multiplicativity_witness(G, f) is None
+    return _multiplicativity_witness(G.table.entries, f.images) is None
 
 
-def automorphisms_of(G: FiniteGroup) -> list[Permutation]:
-    """All automorphisms of G, sorted by image sequence.
+def _isomorphisms(G: HomGroup, H: HomGroup) -> Iterator[Permutation]:
+    """Every isomorphism from G to H, in lexicographic order of images.
 
-    Brute force over unit-fixing bijections, pruned by forcing the image
-    of every product of already-assigned elements as soon as both factors
-    are placed.  Adequate for the carrier sizes this toolkit targets.
+    An isomorphism is a bijection f with f(g*k) = f(g)*f(k) that carries
+    G's twist to H's, f(alpha(g)) = beta(f(g)); it sends unit to unit.
+    Twist cycle types are compared first as a cheap rejection.  Images are
+    assigned from the unit on, and each one propagates along the twist,
+    the inverse and every product with an element already placed.  The
+    search extends the least unplaced element with ascending images, so
+    the maps come out in lexicographic order and the first is the least.
     """
     n = G.n
-    t = G.table.entries
-    images = [-1] * n
+    if H.n != n or G.alpha.cycle_type() != H.alpha.cycle_type():
+        return
+    ta, tb = G.table.entries, H.table.entries
+    aa, ab = G.alpha.images, H.alpha.images
+    ia, ib = G.inverses, H.inverses
+    f = [-1] * n
     used = [False] * n
-    images[G.unit] = G.unit
-    used[G.unit] = True
-    found: list[tuple[int, ...]] = []
 
     def assign(a: int, b: int, trail: list[int]) -> bool:
-        if images[a] != -1:
-            return images[a] == b
+        if f[a] != -1:
+            return f[a] == b
         if used[b]:
             return False
-        images[a] = b
+        f[a] = b
         used[b] = True
         trail.append(a)
+        if not assign(aa[a], ab[b], trail):
+            return False
+        if not assign(ia[a], ib[b], trail):
+            return False
         for x in range(n):
-            bx = images[x]
-            if bx == -1:
+            fx = f[x]
+            if fx == -1:
                 continue
-            if not assign(t[a][x], t[b][bx], trail):
+            if not assign(ta[a][x], tb[b][fx], trail):
                 return False
-            if not assign(t[x][a], t[bx][b], trail):
+            if not assign(ta[x][a], tb[fx][b], trail):
                 return False
         return True
 
     def undo(trail: list[int]) -> None:
         for a in reversed(trail):
-            used[images[a]] = False
-            images[a] = -1
+            used[f[a]] = False
+            f[a] = -1
 
-    def backtrack(start: int) -> None:
-        a = start
-        while a < n and images[a] != -1:
-            a += 1
-        if a == n:
-            found.append(tuple(images))
+    def extend() -> Iterator[Permutation]:
+        if -1 not in f:
+            yield Permutation(tuple(f))
             return
+        a = f.index(-1)
         for b in range(n):
             if used[b]:
                 continue
             trail: list[int] = []
             if assign(a, b, trail):
-                backtrack(a + 1)
+                yield from extend()
             undo(trail)
 
-    backtrack(0)
-    return [Permutation(im) for im in sorted(found)]
+    if assign(G.unit, H.unit, []):
+        yield from extend()
+
+
+def automorphisms_of(G: HomGroup) -> list[Permutation]:
+    """All automorphisms of G, sorted by image sequence.
+
+    For a group these are its group automorphisms; for a twisted structure
+    they are the automorphisms of its untwisted group that commute with
+    the twist.
+    """
+    return list(_isomorphisms(G, G))
 
 
 def inner_automorphism(G: FiniteGroup, s: int) -> Permutation:
@@ -153,7 +165,7 @@ def twist(G: FiniteGroup, alpha: PermLike) -> HomGroup:
     alpha = _as_perm(alpha)
     if len(alpha) != G.n:
         raise ValueError(f"twist length {len(alpha)} != carrier size {G.n}")
-    witness = _multiplicativity_witness(G, alpha)
+    witness = _multiplicativity_witness(G.table.entries, alpha.images)
     if witness is not None:
         raise NotAutomorphismError(witness)
     t = G.table.entries
@@ -233,7 +245,7 @@ def _hom_fixture(table: tuple[tuple[int, ...], ...], labels) -> HomGroup:
 _GROUP_PATTERN = re.compile(r"^group:(zn|dn)\((\d+)\)$")
 
 
-def fixture(name: str) -> Union[HomGroup, FiniteGroup]:
+def fixture(name: str) -> HomGroup:
     """Stock structures by name.
 
     Hom-groups: 'z3a' (order 3), 'z6a', 'd3a', 'z5a'.  Plain groups:

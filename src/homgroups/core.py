@@ -3,8 +3,10 @@
 A Hom-group is a finite carrier {0..n-1} with a Cayley table, a bijective
 twisting map on the carrier, and a two-sided unit.  Associativity and
 unitality hold only up to the twist; division is still total, so every
-verified table is a Latin square.  All arithmetic here is exact machine
-integers and every object is immutable after construction.
+verified table is a Latin square.  An ordinary group is the Hom-group
+whose twist is the identity: FiniteGroup is that HomGroup, checked by the
+same verifier.  All arithmetic here is exact machine integers and every
+object is immutable after construction.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ class InvalidStructureError(ValueError):
         self.report = report
         tags = ", ".join(tag for tag, _ in report.violations)
         super().__init__(message or f"structure rejected: {tags}")
+
+
+def _check_exponent(k: int) -> None:
+    # True == 1 and 1.0 == 1, so only the exact type keeps them out.
+    if type(k) is not int:
+        raise ValueError(f"exponent {k!r} is not an int")
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,7 @@ class Permutation:
 
     def apply(self, i: int, k: int = 1) -> int:
         """Image of i under the k-th iterate; negative k walks the inverse."""
+        _check_exponent(k)
         cycle = [i]
         j = self.images[i]
         while j != i:
@@ -172,6 +181,18 @@ def _as_perm(p: PermLike) -> Permutation:
     return p if isinstance(p, Permutation) else Permutation(tuple(p))
 
 
+def _multiplicativity_witness(
+    t: Sequence[Sequence[int]], a: Sequence[int]
+) -> Optional[tuple[int, int]]:
+    """The first pair (g, k) with a(g*k) != a(g)*a(k), or None."""
+    for g in range(len(t)):
+        row_ag = t[a[g]]
+        for k in range(len(t)):
+            if a[t[g][k]] != row_ag[a[k]]:
+                return (g, k)
+    return None
+
+
 def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
     """Check every Hom-group axiom on the given data.
 
@@ -192,24 +213,22 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
     a = alpha.images
     violations: list[tuple[str, tuple[int, ...]]] = []
 
-    def first_duplicate(seq: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    def first_duplicate(seq: tuple[int, ...]) -> tuple[int, int]:
         seen: dict[int, int] = {}
         for pos, v in enumerate(seq):
             if v in seen:
                 return seen[v], pos
             seen[v] = pos
-        return None
+        raise AssertionError("no repeated entry")
 
-    for i in range(n):
-        dup = first_duplicate(t[i])
-        if dup is not None:
-            violations.append(("latin-row", (i, dup[0], dup[1])))
-            break
-    for j in range(n):
-        dup = first_duplicate(table.col(j))
-        if dup is not None:
-            violations.append(("latin-col", (j, dup[0], dup[1])))
-            break
+    # Entries lie in 0..n-1, so a line repeats one exactly when its set is
+    # smaller than n; the set test runs at C speed and the scan only on a hit.
+    for tag, lines in (("latin-row", t), ("latin-col", tuple(zip(*t)))):
+        for i, line in enumerate(lines):
+            if len(set(line)) < n:
+                dup = first_duplicate(line)
+                violations.append((tag, (i, dup[0], dup[1])))
+                break
 
     if a[unit] != unit:
         violations.append(("unit-fixed", (unit,)))
@@ -222,16 +241,9 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
         i = next(i for i in range(n) if col_u[i] != a[i])
         violations.append(("unit-col", (i,)))
 
-    for g in range(n):
-        row_ag = t[a[g]]
-        hit = None
-        for k in range(n):
-            if a[t[g][k]] != row_ag[a[k]]:
-                hit = (g, k)
-                break
-        if hit is not None:
-            violations.append(("twist-multiplicative", hit))
-            break
+    hit = _multiplicativity_witness(t, a)
+    if hit is not None:
+        violations.append(("twist-multiplicative", hit))
 
     hit3 = None
     for g in range(n):
@@ -330,53 +342,36 @@ class HomGroup:
         return hash((self.table.entries, self.alpha.images, self.unit, self.labels))
 
     def __repr__(self) -> str:
-        return f"HomGroup(n={self.n}, unit={self.unit}, alpha={list(self.alpha.images)})"
+        name = type(self).__name__
+        return f"{name}(n={self.n}, unit={self.unit}, alpha={list(self.alpha.images)})"
 
 
-class FiniteGroup:
-    """Ordinary finite group given by its Cayley table; input to twisting."""
+# Group-law wording for FiniteGroup's rejection message; other tags print as they are.
+_GROUP_LAWS = {
+    "unit-row": "unit law fails",
+    "unit-col": "unit law fails",
+    "hom-associativity": "not associative",
+}
 
-    __slots__ = ("table", "unit", "labels", "inverses")
+
+class FiniteGroup(HomGroup):
+    """Ordinary finite group given by its Cayley table; input to twisting.
+
+    A group is the Hom-group whose twist is the identity, so construction
+    is HomGroup's full axiom check with that twist.  A table that is not a
+    group raises InvalidStructureError, which carries the AxiomReport and
+    names the failed group laws.
+    """
+
+    __slots__ = ()
 
     def __init__(self, table: TableLike, unit: int = 0, labels: Optional[Sequence[str]] = None):
         table = _as_table(table)
-        t = table.entries
-        n = table.n
-        if type(unit) is not int or not 0 <= unit < n:
-            raise ValueError(f"unit {unit!r} outside 0..{n - 1}")
-        for g in range(n):
-            if t[unit][g] != g or t[g][unit] != g:
-                raise ValueError(f"unit law fails at {g}")
-        for g in range(n):
-            for h in range(n):
-                gh = t[g][h]
-                for k in range(n):
-                    if t[gh][k] != t[g][t[h][k]]:
-                        raise ValueError(f"not associative at triple ({g},{h},{k})")
-        inverses = []
-        for g in range(n):
-            try:
-                b = t[g].index(unit)
-            except ValueError:
-                raise ValueError(f"no inverse for {g}") from None
-            if t[b][g] != unit:
-                raise ValueError(f"one-sided inverse at {g}")
-            inverses.append(b)
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != n:
-                raise ValueError(f"{len(labels)} labels for carrier of size {n}")
-        self.table = table
-        self.unit = unit
-        self.labels = labels
-        self.inverses = tuple(inverses)
-
-    @property
-    def n(self) -> int:
-        return self.table.n
-
-    def elements(self) -> range:
-        return range(self.table.n)
+        try:
+            super().__init__(table, Permutation.identity(table.n), unit, labels)
+        except InvalidStructureError as exc:
+            laws = [f"{_GROUP_LAWS.get(tag, tag)} at {w}" for tag, w in exc.report.violations]
+            raise InvalidStructureError(exc.report, f"not a group: {', '.join(laws)}") from None
 
     def mul(self, a: int, b: int) -> int:
         return self.table.entries[a][b]
@@ -384,19 +379,8 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiniteGroup):
-            return NotImplemented
-        return self.table == other.table and self.unit == other.unit
 
-    def __hash__(self) -> int:
-        return hash((self.table.entries, self.unit))
-
-    def __repr__(self) -> str:
-        return f"FiniteGroup(n={self.n}, unit={self.unit})"
-
-
-def _check_index(G: Union[HomGroup, FiniteGroup], i: int, name: str = "index") -> None:
+def _check_index(G: HomGroup, i: int, name: str = "index") -> None:
     if type(i) is not int or not 0 <= i < G.n:
         raise ValueError(f"{name} {i!r} outside 0..{G.n - 1}")
 
@@ -447,6 +431,7 @@ def is_abelian(G: HomGroup) -> bool:
 def right_power(G: HomGroup, x: int, m: int) -> int:
     """m-th right power: x^1 = x, x^m = x^(m-1) * x.  Requires m >= 1."""
     _check_index(G, x)
+    _check_exponent(m)
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
     t = G.table.entries
@@ -459,6 +444,7 @@ def right_power(G: HomGroup, x: int, m: int) -> int:
 def left_power(G: HomGroup, x: int, m: int) -> int:
     """m-th left power: x^1 = x, x^m = x * x^(m-1).  Requires m >= 1."""
     _check_index(G, x)
+    _check_exponent(m)
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
     t = G.table.entries

@@ -122,24 +122,32 @@ def enumerate_hom_subgroups(G: HomGroup) -> list[SubsetHandle]:
     return found
 
 
-def coset(G: HomGroup, H: SubsetLike, g: int, side: Side = "left") -> Coset:
-    """The coset g*H (left) or H*g (right); always the same size as H."""
-    _check_index(G, g)
+def _cosets(G: HomGroup, H: SubsetLike, reps: Iterable[int], side: Side) -> list[Coset]:
+    """The coset of H at each representative; side and H are checked once."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     defect = subgroup_defect(G, H)
     if defect is not None:
         raise ValueError(f"not a Hom-subgroup: {defect}")
     members = _as_members(G, H)
-    t = G.table.entries
-    if side == "left":
-        result = frozenset(t[g][h] for h in members)
-    else:
-        result = frozenset(t[h][g] for h in members)
-    if len(result) != len(members):
-        raise AssertionError(f"coset size {len(result)} != subgroup size {len(members)}")
     sub = H if isinstance(H, SubsetHandle) else SubsetHandle(G, members)
-    return Coset(parent=G, subgroup=sub, representative=g, side=side, members=result)
+    t = G.table.entries
+    out = []
+    for g in reps:
+        if side == "left":
+            result = frozenset(t[g][h] for h in members)
+        else:
+            result = frozenset(t[h][g] for h in members)
+        if len(result) != len(members):
+            raise AssertionError(f"coset size {len(result)} != subgroup size {len(members)}")
+        out.append(Coset(parent=G, subgroup=sub, representative=g, side=side, members=result))
+    return out
+
+
+def coset(G: HomGroup, H: SubsetLike, g: int, side: Side = "left") -> Coset:
+    """The coset g*H (left) or H*g (right); always the same size as H."""
+    _check_index(G, g)
+    return _cosets(G, H, (g,), side)[0]
 
 
 def coset_partition(G: HomGroup, H: SubsetLike, side: Side = "left") -> list[Coset]:
@@ -153,8 +161,7 @@ def coset_partition(G: HomGroup, H: SubsetLike, side: Side = "left") -> list[Cos
     """
     blocks: list[Coset] = []
     seen: set[frozenset[int]] = set()
-    for g in range(G.n):
-        c = coset(G, H, g, side)
+    for c in _cosets(G, H, range(G.n), side):
         if c.members not in seen:
             seen.add(c.members)
             blocks.append(c)

@@ -104,6 +104,26 @@ def automorphisms_by_filter(group):
     return sorted(found)
 
 
+def isomorphisms_by_filter(source, target):
+    """Every isomorphism between two structures given as (table, alpha,
+    unit) triples, sorted by image sequence.
+
+    Tests every bijection that sends unit to unit for products and for
+    carrying the source twist to the target twist."""
+    ta, aa, ua = source
+    tb, ab, ub = target
+    n = len(ta)
+    if len(tb) != n:
+        return []
+    found = []
+    for f in permutations(range(n)):
+        if f[ua] != ub or any(f[aa[g]] != ab[f[g]] for g in range(n)):
+            continue
+        if all(f[ta[g][k]] == tb[f[g]][f[k]] for g in range(n) for k in range(n)):
+            found.append(f)
+    return found
+
+
 def _table_by_formula(elements, product):
     index = {e: i for i, e in enumerate(elements)}
     return tuple(tuple(index[product(a, b)] for b in elements) for a in elements)

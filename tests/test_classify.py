@@ -8,9 +8,11 @@ from homgroups import (
     Permutation,
     SearchConfig,
     are_isomorphic,
+    automorphisms_of,
     canonical_form,
     classify_order,
     cyclic_group,
+    dihedral_group,
     enumerate_hom_groups,
     fixture,
     reduce_to_classes,
@@ -19,9 +21,11 @@ from homgroups import (
     verify,
 )
 from oracles import (
+    automorphisms_by_filter,
     drop_identity_twist,
     hom_group_counts_by_automorphisms,
     hom_groups_by_latin_filter,
+    isomorphisms_by_filter,
     lexmin_classes,
 )
 
@@ -133,6 +137,44 @@ class TestIsomorphism:
             for H in structures:
                 same_canon = canonical_form(G).table == canonical_form(H).table
                 assert same_canon == (are_isomorphic(G, H) is not None)
+
+
+def _twisted_structures():
+    stock = [fixture(name) for name in ("z3a", "z6a", "d3a", "z5a")]
+    groups = (cyclic_group(6), dihedral_group(3), dihedral_group(4))
+    return stock + [twist(G, a) for G in groups for a in automorphisms_by_filter(G)]
+
+
+class TestOneSearch:
+    """are_isomorphic and automorphisms_of run one backtracking search;
+    both are checked against brute force over bijections."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_are_isomorphic_is_the_least_isomorphism(self, n):
+        structures = enumerate_hom_groups(SearchConfig(order=n, include_groups=True))
+        # A relabeled copy of each moves the unit off 0 for n > 1.
+        shift = tuple((i + 1) % n for i in range(n))
+        structures += [relabel(G, shift) for G in structures]
+        for G in structures:
+            for H in structures:
+                found = isomorphisms_by_filter(
+                    (G.table.entries, G.alpha.images, G.unit),
+                    (H.table.entries, H.alpha.images, H.unit),
+                )
+                f = are_isomorphic(G, H)
+                assert (f.images if f else None) == (found[0] if found else None)
+
+    @pytest.mark.parametrize("T", _twisted_structures())
+    def test_automorphisms_of_a_twist_commute_with_it(self, T):
+        # Untwist: g.h = alpha^-1(g*h) is the group that T twists.
+        n, t, a = T.n, T.table.entries, T.alpha.images
+        a_inv = T.alpha.inverse().images
+        untwisted = tuple(tuple(a_inv[t[g][h]] for h in range(n)) for g in range(n))
+        expected = [
+            f for f in automorphisms_by_filter(untwisted)
+            if all(f[a[g]] == a[f[g]] for g in range(n))
+        ]
+        assert [p.images for p in automorphisms_of(T)] == expected
 
 
 class TestCanonicalForm:

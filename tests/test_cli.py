@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from homgroups import SearchConfig, enumerate_hom_groups, fixture, relabel
+from homgroups import SearchConfig, cyclic_group, enumerate_hom_groups, fixture, relabel
 from homgroups.cli import (
     dumps_document,
     document_to_hom_group,
@@ -256,6 +256,23 @@ class TestTwistCommand:
         doc = json.loads(out)
         assert doc["alpha"] == [0, 1, 2, 3, 4, 5]
         assert doc["table"][2][3] == 5
+
+    def test_conjugating_element_out_of_range(self, capsys):
+        code, out = run(capsys, "twist", "--group", "dn:3", "--conjugate", "9")
+        assert code == 2
+        assert out == "index 9 outside 0..5\nerror: domain-error\n"
+
+    def test_document_operand_verified_once(self, tmp_path, capsys, monkeypatch):
+        import homgroups.core as core
+
+        path = tmp_path / "z6.json"
+        path.write_text(dumps_document(hom_group_to_document(cyclic_group(6))))
+        calls = []
+        check = core.verify
+        monkeypatch.setattr(core, "verify", lambda *args: calls.append(args) or check(*args))
+        code, out = run(capsys, "twist", "--group", str(path), "--list-autos")
+        assert (code, out) == (0, "0,1,2,3,4,5\n0,5,4,3,2,1\n")
+        assert len(calls) == 1
 
     def test_list_autos(self, capsys):
         code, out = run(capsys, "twist", "--group", "zn:6", "--list-autos")

@@ -182,6 +182,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unit law"):
             FiniteGroup(((0, 1), (1, 0)), 1)
 
+    def test_rejected_finite_group_carries_report(self):
+        loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1),
+                (3, 4, 1, 2, 0), (4, 2, 0, 1, 3))
+        with pytest.raises(InvalidStructureError) as exc:
+            FiniteGroup(loop, 0)
+        assert exc.value.report == verify(loop, Permutation.identity(5), 0)
+        assert exc.value.report.tags() == ("hom-associativity", "inverse-asymmetric")
+
+    def test_finite_group_is_the_identity_twist(self):
+        z4 = cyclic_group(4)
+        assert isinstance(z4, HomGroup) and z4.alpha.is_identity
+        assert z4 == HomGroup(z4.table, Permutation.identity(4), 0, labels=z4.labels)
+
 
 class TestMul:
     def test_known_products(self, z3a, z6a):
@@ -212,6 +225,24 @@ class TestMul:
         ):
             with pytest.raises(ValueError):
                 call()
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda G, k: alpha_apply(G, 1, k),
+        lambda G, k: right_power(G, 1, k),
+        lambda G, k: left_power(G, 1, k),
+        lambda G, k: G.alpha.apply(1, k),
+        lambda G, k: G.alpha.power(k),
+    ],
+    ids=["alpha_apply", "right_power", "left_power", "Permutation.apply", "Permutation.power"],
+)
+def test_exponent_must_be_an_int(z6a, call, bad):
+    # True would otherwise count as 1, and 1.0 fail with a TypeError
+    with pytest.raises(ValueError, match="exponent"):
+        call(z6a, bad)
 
 
 class TestAlphaApply:

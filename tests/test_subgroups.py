@@ -158,6 +158,20 @@ class TestCosetPartition:
                     equal = coset(G, H, g, "left").members == H.members
                     assert equal == (g in H.members)
 
+    def test_subgroup_checked_once(self, z6a, monkeypatch):
+        import homgroups.subgroups as subgroups
+
+        calls = []
+        check = subgroups.subgroup_defect
+        counted = lambda G, S: calls.append(S) or check(G, S)
+        monkeypatch.setattr(subgroups, "subgroup_defect", counted)
+        assert len(coset_partition(z6a, [0, 3], "right")) == 3
+        assert len(calls) == 1
+
+    def test_rejects_non_subgroup(self, z6a):
+        with pytest.raises(ValueError, match="not a Hom-subgroup"):
+            coset_partition(z6a, [0, 1], "left")
+
     def test_intersection_lemma(self):
         for G in _small_structures():
             for H in enumerate_hom_subgroups(G):
