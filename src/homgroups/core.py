@@ -193,6 +193,23 @@ def _multiplicativity_witness(
     return None
 
 
+def _hom_associativity_witness(
+    t: Sequence[Sequence[int]], a: Sequence[int]
+) -> Optional[tuple[int, int, int]]:
+    """The first triple (g, h, k) with a(g)*(h*k) != (g*h)*a(k), or None."""
+    n = len(t)
+    for g in range(n):
+        row_ag = t[a[g]]
+        row_g = t[g]
+        for h in range(n):
+            row_h = t[h]
+            row_gh = t[row_g[h]]
+            for k in range(n):
+                if row_ag[row_h[k]] != row_gh[a[k]]:
+                    return (g, h, k)
+    return None
+
+
 def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
     """Check every Hom-group axiom on the given data.
 
@@ -245,23 +262,8 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
     if hit is not None:
         violations.append(("twist-multiplicative", hit))
 
-    hit3 = None
-    for g in range(n):
-        row_ag = t[a[g]]
-        row_g = t[g]
-        for h in range(n):
-            gh = row_g[h]
-            row_h = t[h]
-            row_gh = t[gh]
-            for k in range(n):
-                if row_ag[row_h[k]] != row_gh[a[k]]:
-                    hit3 = (g, h, k)
-                    break
-            if hit3:
-                break
-        if hit3:
-            break
-    if hit3:
+    hit3 = _hom_associativity_witness(t, a)
+    if hit3 is not None:
         violations.append(("hom-associativity", hit3))
 
     missing = None

@@ -1,9 +1,14 @@
-"""Hom-subgroups, cosets, Lagrange partitions, center and centralizers."""
+"""Hom-subgroups, cosets, Lagrange partitions, center and centralizers.
+
+Subgroups are found inside the Hom-group itself: the closure under the
+product of any set holding the unit is a Hom-subgroup, so the subgroup
+list is built by joining the closures of single twist orbits.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .core import HomGroup, Side, _check_index
 
@@ -102,38 +107,79 @@ def is_hom_subgroup(G: HomGroup, S: SubsetLike) -> bool:
     return subgroup_defect(G, S) is None
 
 
+def _closure(t: Sequence[Sequence[int]], unit: int, seed: Iterable[int]) -> frozenset[int]:
+    """The least set containing the unit and seed that is closed under *.
+
+    That set is a Hom-subgroup.  It is twist-stable, since unit*x =
+    alpha(x).  It holds every inverse: for x in it, the row of x
+    restricted to the set is injective, because rows of a Hom-group table
+    are, and maps the finite set into itself, so it is onto; some y in the
+    set has x*y = unit, and y is the inverse of x.
+    """
+    members = {unit, *seed}
+    todo = list(members)
+    done: list[int] = []
+    while todo:
+        x = todo.pop()
+        done.append(x)
+        row = t[x]
+        for y in done:
+            for z in (row[y], t[y][x]):
+                if z not in members:
+                    members.add(z)
+                    todo.append(z)
+    return frozenset(members)
+
+
 def enumerate_hom_subgroups(G: HomGroup) -> list[SubsetHandle]:
     """All Hom-subgroups, sorted by (size, bitmask).
 
-    Only twist-stable, unit-containing subsets can qualify, so candidates
-    are unions of twist orbits together with the unit's orbit; each is
-    then tested for product and inverse closure.
+    A Hom-subgroup is a union of twist orbits, and it contains the
+    closure of each orbit it meets.  So the atoms are the closures of
+    the single non-unit orbits, and every Hom-subgroup is the closure of
+    the union of the atoms it contains.  Starting from the trivial
+    subgroup, each subgroup found is joined with each atom it does not
+    contain, until no new subgroup appears: the search visits subgroups,
+    never the 2^orbits unions of orbits.
     """
-    orbits = [c for c in G.alpha.cycles() if G.unit not in c]
-    found: list[SubsetHandle] = []
-    for pick in range(1 << len(orbits)):
-        members = {G.unit}
-        for i, orbit in enumerate(orbits):
-            if pick >> i & 1:
-                members.update(orbit)
-        if subgroup_defect(G, members) is None:
-            found.append(SubsetHandle(G, frozenset(members)))
-    found.sort(key=lambda h: (len(h), h.bitmask))
-    return found
+    t = G.table.entries
+    unit = G.unit
+    atoms = {_closure(t, unit, c) for c in G.alpha.cycles() if unit not in c}
+    trivial = frozenset((unit,))
+    found = {trivial}
+    todo = [trivial]
+    while todo:
+        H = todo.pop()
+        for A in atoms:
+            if not A <= H:
+                J = _closure(t, unit, H | A)
+                if J not in found:
+                    found.add(J)
+                    todo.append(J)
+    handles = [SubsetHandle(G, members) for members in found]
+    handles.sort(key=lambda h: (len(h), h.bitmask))
+    return handles
 
 
 def _cosets(G: HomGroup, H: SubsetLike, reps: Iterable[int], side: Side) -> list[Coset]:
-    """The coset of H at each representative; side and H are checked once."""
+    """The coset of H at each representative.
+
+    Side and H are checked once, before any representative.  A rejected
+    H is named with its members as given, repeats included.
+    """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    defect = subgroup_defect(G, H)
+    given = H.sorted_members() if isinstance(H, SubsetHandle) else tuple(H)
+    defect = subgroup_defect(G, given)
     if defect is not None:
-        raise ValueError(f"not a Hom-subgroup: {defect}")
-    members = _as_members(G, H)
-    sub = H if isinstance(H, SubsetHandle) else SubsetHandle(G, members)
+        listed = ",".join(str(i) for i in sorted(given))
+        raise ValueError(f"subset {{{listed}}} is not a Hom-subgroup: {defect}")
+    sub = H if isinstance(H, SubsetHandle) else SubsetHandle(G, frozenset(given))
+    members = sub.members
     t = G.table.entries
     out = []
     for g in reps:
+        _check_index(G, g)
         if side == "left":
             result = frozenset(t[g][h] for h in members)
         else:
@@ -146,7 +192,6 @@ def _cosets(G: HomGroup, H: SubsetLike, reps: Iterable[int], side: Side) -> list
 
 def coset(G: HomGroup, H: SubsetLike, g: int, side: Side = "left") -> Coset:
     """The coset g*H (left) or H*g (right); always the same size as H."""
-    _check_index(G, g)
     return _cosets(G, H, (g,), side)[0]
 
 

@@ -2,7 +2,8 @@
 
 Nothing here reuses the library's search or pruning machinery: Latin
 squares are generated row by row from raw permutations, divisions are
-found by scanning, subgroups by filtering every subset, automorphisms by
+found by scanning, subgroups by filtering every subset or as the
+twist-invariant subgroups of the untwisted group, automorphisms by
 testing every bijection, and canonical forms by trying every
 relabeling.  The axiom checker itself is the one piece of the library the
 classification oracles are allowed to call, since it is what they filter
@@ -87,6 +88,50 @@ def subgroups_by_subset_filter(G):
         if ok:
             found.append(frozenset(members))
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def hom_subgroups_by_untwisting(G):
+    """All Hom-subgroup member sets as the twist-invariant subgroups of the
+    untwisted group g.h = alpha^-1(g*h), sorted by (size, bitmask).
+
+    The untwisted product is associative with the same unit, so the
+    subgroup generated by a set is everything reached from the unit by
+    right multiplication with its generators.  Every subgroup is generated
+    by the cyclic subgroups it contains, so joining cyclic subgroups until
+    nothing new appears finds them all; the twist is only used at the end,
+    to keep the subgroups it maps into themselves."""
+    n = G.n
+    a = G.alpha.images
+    a_inv = [0] * n
+    for i, v in enumerate(a):
+        a_inv[v] = i
+    dot = [[a_inv[v] for v in row] for row in G.table.entries]
+
+    def generated(gens):
+        members = {G.unit}
+        frontier = [G.unit]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = dot[x][g]
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
+        return frozenset(members)
+
+    cyclic = {generated((g,)): (g,) for g in range(n)}
+    gens_of = dict(cyclic)
+    todo = list(cyclic)
+    while todo:
+        H = todo.pop()
+        for C, (g,) in cyclic.items():
+            if not C <= H:
+                J = generated(gens_of[H] + (g,))
+                if J not in gens_of:
+                    gens_of[J] = gens_of[H] + (g,)
+                    todo.append(J)
+    invariant = [H for H in gens_of if all(a[x] in H for x in H)]
+    return sorted(invariant, key=lambda H: (len(H), sum(1 << x for x in H)))
 
 
 def automorphisms_by_filter(group):

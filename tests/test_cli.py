@@ -200,6 +200,36 @@ class TestCosetsCommand:
         assert code == 2
         assert out.rstrip().splitlines()[-1] == "error: domain-error"
 
+    @pytest.mark.parametrize("element", [[], ["--element", "1"]])
+    def test_subgroup_checked_once(self, tmp_path, capsys, monkeypatch, element):
+        import homgroups.subgroups as subgroups
+
+        calls = []
+        check = subgroups.subgroup_defect
+        monkeypatch.setattr(subgroups, "subgroup_defect", lambda G, S: calls.append(S) or check(G, S))
+        code, _ = run(capsys, "cosets", write_fixture(tmp_path, "z6a"), "--subgroup", "0,3", *element)
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "subset, element, message",
+        [
+            ("1,1", [], "subset {1,1} is not a Hom-subgroup: unit 0 not in subset"),
+            (
+                "0,1",
+                ["--element", "9"],
+                "subset {0,1} is not a Hom-subgroup: not closed under product: 0*1 = 5 escapes",
+            ),
+            ("0,9", ["--element", "99"], "members outside carrier: [9]"),
+            ("0,3", ["--element", "9"], "index 9 outside 0..5"),
+        ],
+    )
+    def test_rejection_lines(self, tmp_path, capsys, subset, element, message):
+        path = write_fixture(tmp_path, "z6a")
+        code, out = run(capsys, "cosets", path, "--subgroup", subset, *element)
+        assert code == 2
+        assert out == f"{message}\nerror: domain-error\n"
+
 
 class TestLagrangeCommand:
     def test_z5a_golden(self, tmp_path, capsys):

@@ -1,23 +1,33 @@
+from functools import cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homgroups import (
     HomGroup,
     SearchConfig,
     SubsetHandle,
+    automorphisms_of,
     cauchy_search,
     center,
     centralizer,
     coset,
     coset_partition,
+    cyclic_group,
+    dihedral_group,
+    direct_product,
     enumerate_hom_subgroups,
     enumerate_hom_groups,
     fixture,
     is_abelian,
     is_hom_subgroup,
     lagrange_check,
+    relabel,
     subgroup_defect,
+    twist,
 )
-from oracles import subgroups_by_subset_filter
+from homgroups.subgroups import _closure
+from oracles import hom_subgroups_by_untwisting, subgroups_by_subset_filter
 
 TRIVIAL = HomGroup(((0,),), (0,), 0)
 
@@ -89,6 +99,119 @@ class TestEnumerate:
         for G in _small_structures():
             for H in enumerate_hom_subgroups(G):
                 assert {G.alpha(h) for h in H.members} == set(H.members)
+
+
+def _group(spec):
+    """zn:K, dn:K, or a product A*B*... of those, as a plain group."""
+    factors = []
+    for part in spec.split("*"):
+        kind, k = part.split(":")
+        factors.append(cyclic_group(int(k)) if kind == "zn" else dihedral_group(int(k)))
+    G = factors[0]
+    for H in factors[1:]:
+        G = direct_product(G, H)
+    return G
+
+
+def _members(G):
+    return [frozenset(h.members) for h in enumerate_hom_subgroups(G)]
+
+
+def _by_size_and_bitmask(sets):
+    return sorted(sets, key=lambda S: (len(S), sum(1 << i for i in S)))
+
+
+def _shaped_twists(spec, orbits, count=None):
+    """The twists of a group, unit 0, by its first count automorphisms
+    with that many non-unit orbits."""
+    G = _group(spec)
+    autos = [a for a in automorphisms_of(G) if sum(1 for c in a.cycles() if 0 not in c) == orbits]
+    return [twist(G, a) for a in autos[:count]]
+
+
+@cache
+def _twists(spec):
+    G = _group(spec)
+    return tuple(twist(G, a) for a in automorphisms_of(G))
+
+
+@cache
+def _subset_oracle(spec, i):
+    return tuple(subgroups_by_subset_filter(_twists(spec)[i]))
+
+
+def _divisor_count(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def _divisor_sum(n):
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def _gaussian_binomial(n, k, q=2):
+    # number of k-dimensional subspaces of GF(q)^n
+    count = 1
+    for i in range(k):
+        count = count * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    return count
+
+
+CYCLIC_AND_DIHEDRAL = [f"zn:{k}" for k in range(1, 13)] + [f"dn:{k}" for k in range(1, 7)]
+SMALL_GROUPS = CYCLIC_AND_DIHEDRAL + ["zn:2*zn:4", "zn:2*zn:2*zn:2", "zn:2*zn:6"]
+
+
+class TestClosureSearch:
+    @pytest.mark.parametrize("spec", SMALL_GROUPS)
+    def test_every_twist_matches_subset_filter(self, spec):
+        for i, G in enumerate(_twists(spec)):
+            assert _members(G) == _by_size_and_bitmask(_subset_oracle(spec, i))
+
+    # The benchmark's audit shapes with the fewest twist orbits each group
+    # allows: Z64 and D32 have no automorphism with 13 non-unit orbits.
+    @pytest.mark.parametrize(
+        "spec, orbits, count",
+        [("zn:64", 10, None), ("zn:64", 11, None), ("dn:32", 10, 2), ("dn:32", 11, 2),
+         ("zn:2*zn:16", 13, None), ("zn:3*zn:8", 13, None)],
+    )
+    def test_large_twists_match_untwisting(self, spec, orbits, count):
+        shaped = _shaped_twists(spec, orbits, count)
+        assert shaped
+        for G in shaped:
+            assert _members(G) == hom_subgroups_by_untwisting(G)
+
+    def test_relabeled_copy_matches_untwisting(self):
+        [G] = _shaped_twists("zn:2*zn:16", 13, 1)
+        moved = relabel(G, tuple(reversed(range(G.n))))
+        assert moved.unit == G.n - 1
+        assert _members(moved) == hom_subgroups_by_untwisting(moved)
+
+    @pytest.mark.parametrize(
+        "spec, closed_form, count",
+        [
+            ("zn:64", _divisor_count(64), 7),
+            ("dn:32", _divisor_count(32) + _divisor_sum(32), 69),
+            ("zn:2*zn:2*zn:2*zn:2", sum(_gaussian_binomial(4, k) for k in range(5)), 67),
+            ("zn:2*zn:2*zn:2*zn:2*zn:2", sum(_gaussian_binomial(5, k) for k in range(6)), 374),
+        ],
+    )
+    def test_identity_twist_counts(self, spec, closed_form, count):
+        G = _group(spec)
+        got = _members(G)
+        assert closed_form == count
+        assert len(got) == count
+        assert got == hom_subgroups_by_untwisting(G)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_closure_is_the_least_hom_subgroup(self, data):
+        spec = data.draw(st.sampled_from(CYCLIC_AND_DIHEDRAL))
+        i = data.draw(st.integers(0, len(_twists(spec)) - 1))
+        G = _twists(spec)[i]
+        seed = data.draw(st.sets(st.integers(0, G.n - 1), max_size=3))
+        got = _closure(G.table.entries, G.unit, seed)
+        assert subgroup_defect(G, got) is None
+        containing = [S for S in _subset_oracle(spec, i) if seed <= S]
+        assert got == frozenset.intersection(*containing)
 
 
 class TestCoset:
