@@ -37,7 +37,9 @@ from itertools import permutations
 from typing import Optional
 
 from .constructions import _isomorphisms, automorphisms_of, twist
-from .core import FiniteGroup, HomGroup, Permutation, PermLike, _as_perm, power_orbit
+from .core import FiniteGroup, HomGroup, Permutation, PermLike, _as_perm
+
+ORDER_GUARD = 6  # default largest order searched; callers raise it explicitly
 
 
 class OrderGuardError(ValueError):
@@ -48,7 +50,7 @@ class OrderGuardError(ValueError):
 class SearchConfig:
     order: int
     include_groups: bool = False
-    max_order_guard: int = 6
+    max_order_guard: int = ORDER_GUARD
 
     def __post_init__(self):
         if type(self.order) is not int or self.order < 1:
@@ -240,17 +242,11 @@ def enumerate_hom_groups(
 
 
 def _invariant(G: HomGroup) -> tuple:
-    """Isomorphism invariant: twist cycle type, commutativity, the number
-    of x with x*x = unit, and the sorted (preperiod, period) of right
-    powers."""
+    """Isomorphism invariant: the twist's cycle type and the sorted fibre
+    sizes of the squaring map x -> x*x, both preserved by any isomorphism."""
     t = G.table.entries
-    orbits = (power_orbit(G, x) for x in G.elements())
-    return (
-        G.alpha.cycle_type(),
-        G.table.is_symmetric(),
-        sum(t[x][x] == G.unit for x in G.elements()),
-        tuple(sorted((o.preperiod, o.period) for o in orbits)),
-    )
+    squares = Counter(t[x][x] for x in G.elements())
+    return G.alpha.cycle_type(), tuple(sorted(squares.values()))
 
 
 def reduce_to_classes(
@@ -351,7 +347,7 @@ class ClassificationReport:
 def classify_order(
     n: int,
     include_groups: bool = False,
-    max_order_guard: int = 6,
+    max_order_guard: int = ORDER_GUARD,
     stats: Optional[ClassifyStats] = None,
 ) -> ClassificationReport:
     """Every labeled structure at one order and one representative per class.

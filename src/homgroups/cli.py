@@ -26,6 +26,7 @@ from .core import (
     Permutation,
     verify,
 )
+from .subgroups import format_subset
 
 TAG_PARSE = "parse-error"
 TAG_INVALID = "invalid-structure"
@@ -56,7 +57,7 @@ _DOCUMENT_KEYS = {"order", "unit", "alpha", "table", "labels"}
 
 
 def parse_document(path: str) -> dict:
-    """Read and shape-check a Hom-group document; no axiom checking here."""
+    """Read, shape- and range-check a Hom-group document; no axiom checking here."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -81,11 +82,15 @@ def parse_document(path: str) -> dict:
         raise DocumentError(f"{path}: order must be a positive integer")
     if type(doc["unit"]) is not int:
         raise DocumentError(f"{path}: unit must be an integer")
+    if not 0 <= doc["unit"] < order:
+        raise DocumentError(f"{path}: unit must lie in 0..{order - 1}")
     alpha = doc["alpha"]
     if not isinstance(alpha, list) or len(alpha) != order or not all(
         type(v) is int for v in alpha
     ):
         raise DocumentError(f"{path}: alpha must be a list of {order} integers")
+    if sorted(alpha) != list(range(order)):
+        raise DocumentError(f"{path}: alpha must be a permutation of 0..{order - 1}")
     table = doc["table"]
     if (
         not isinstance(table, list)
@@ -96,6 +101,8 @@ def parse_document(path: str) -> dict:
         )
     ):
         raise DocumentError(f"{path}: table must be a {order}x{order} integer matrix")
+    if min(map(min, table)) < 0 or max(map(max, table)) >= order:
+        raise DocumentError(f"{path}: table entries must lie in 0..{order - 1}")
     labels = doc.get("labels")
     if labels is not None and (
         not isinstance(labels, list)
@@ -136,10 +143,6 @@ def load_hom_group(path: str) -> HomGroup:
         raise CliFailure(
             f"{path}: document does not describe a Hom-group ({tags})", TAG_INVALID
         ) from None
-
-
-def format_subset(members: Sequence[int]) -> str:
-    return "{" + ",".join(str(i) for i in sorted(members)) + "}"
 
 
 def report_lines(report: AxiomReport) -> list[str]:
@@ -224,7 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    guard = args.order if args.force else 6
+    guard = args.order if args.force else _classify.ORDER_GUARD
     stats = _classify.ClassifyStats()
     try:
         report = _classify.classify_order(args.order, args.include_groups, guard, stats)
@@ -256,7 +259,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_subgroups(args: argparse.Namespace) -> int:
     G = load_hom_group(args.path)
     for handle in _subgroups.enumerate_hom_subgroups(G):
-        print(format_subset(handle.sorted_members()))
+        print(format_subset(handle.members))
     return EXIT_OK
 
 
@@ -266,10 +269,10 @@ def cmd_cosets(args: argparse.Namespace) -> int:
     try:
         if args.element is not None:
             block = _subgroups.coset(G, H, args.element, args.side)
-            print(format_subset(block.sorted_members()))
+            print(format_subset(block.members))
         else:
             for block in _subgroups.coset_partition(G, H, args.side):
-                print(format_subset(block.sorted_members()))
+                print(format_subset(block.members))
     except ValueError as exc:
         raise CliFailure(str(exc), TAG_DOMAIN)
     return EXIT_OK
@@ -281,7 +284,7 @@ def cmd_lagrange(args: argparse.Namespace) -> int:
     print(f"|G| = {G.n}")
     for entry in report.entries:
         print(
-            f"H={format_subset(entry.subgroup.sorted_members())} "
+            f"H={format_subset(entry.subgroup.members)} "
             f"|H|={entry.order} index={entry.index}"
         )
     print("divisors: " + ", ".join(str(d) for d in report.divisors))
@@ -293,9 +296,7 @@ def cmd_cauchy(args: argparse.Namespace) -> int:
     report = _subgroups.cauchy_search(G)
     print(f"|G| = {G.n}")
     for entry in report.entries:
-        witness = (
-            format_subset(entry.witness.sorted_members()) if entry.witness is not None else "none"
-        )
+        witness = format_subset(entry.witness.members) if entry.witness is not None else "none"
         print(f"p={entry.prime}: {witness}")
     return EXIT_OK
 

@@ -266,19 +266,12 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
     if hit3 is not None:
         violations.append(("hom-associativity", hit3))
 
-    missing = None
-    asym = None
-    for g in range(n):
-        b = None
-        for cand in range(n):
-            if t[g][cand] == unit:
-                b = cand
-                break
-        if b is None:
-            if missing is None:
-                missing = (g,)
-        elif t[b][g] != unit and asym is None:
-            asym = (g, b)
+    missing = asym = None
+    for g, row in enumerate(t):
+        if unit not in row:
+            missing = missing or (g,)
+        elif asym is None and t[row.index(unit)][g] != unit:
+            asym = (g, row.index(unit))
     if missing is not None:
         violations.append(("inverse-missing", missing))
     if asym is not None:
@@ -432,28 +425,12 @@ def is_abelian(G: HomGroup) -> bool:
 
 def right_power(G: HomGroup, x: int, m: int) -> int:
     """m-th right power: x^1 = x, x^m = x^(m-1) * x.  Requires m >= 1."""
-    _check_index(G, x)
-    _check_exponent(m)
-    if m < 1:
-        raise ValueError(f"power must be >= 1, got {m}")
-    t = G.table.entries
-    acc = x
-    for _ in range(m - 1):
-        acc = t[acc][x]
-    return acc
+    return _nth_power(power_orbit(G, x, "right"), m)
 
 
 def left_power(G: HomGroup, x: int, m: int) -> int:
     """m-th left power: x^1 = x, x^m = x * x^(m-1).  Requires m >= 1."""
-    _check_index(G, x)
-    _check_exponent(m)
-    if m < 1:
-        raise ValueError(f"power must be >= 1, got {m}")
-    t = G.table.entries
-    acc = x
-    for _ in range(m - 1):
-        acc = t[x][acc]
-    return acc
+    return _nth_power(power_orbit(G, x, "left"), m)
 
 
 class PowerOrbit(NamedTuple):
@@ -463,11 +440,13 @@ class PowerOrbit(NamedTuple):
 
 
 def power_orbit(G: HomGroup, x: int, side: Side = "right") -> PowerOrbit:
-    """Eventually periodic sequence of powers of x on the chosen side.
+    """Sequence of powers of x on the chosen side.
 
     Iterates x, x^2, x^3, ... until a value repeats (guaranteed by
     finiteness) and returns the preperiod length, the period length, and
-    the distinct values in order of first appearance.
+    the distinct values in order of first appearance.  Multiplying by x
+    permutes the carrier of a Latin square, so the powers run round one
+    cycle: the preperiod is always 0.
     """
     _check_index(G, x)
     if side not in ("left", "right"):
@@ -482,3 +461,11 @@ def power_orbit(G: HomGroup, x: int, side: Side = "right") -> PowerOrbit:
         cur = t[cur][x] if side == "right" else t[x][cur]
     first = seen[cur]
     return PowerOrbit(preperiod=first, period=len(seq) - first, orbit=tuple(seq))
+
+
+def _nth_power(powers: PowerOrbit, m: int) -> int:
+    """x^m: index m-1 of the orbit modulo the period, as the preperiod is 0."""
+    _check_exponent(m)
+    if m < 1:
+        raise ValueError(f"power must be >= 1, got {m}")
+    return powers.orbit[(m - 1) % powers.period]

@@ -248,12 +248,7 @@ def is_commutative(A: GroupHopfAlgebra) -> bool:
 
 
 def is_cocommutative(A: GroupHopfAlgebra) -> bool:
-    n = A.n
-    for g in range(n):
-        t = A.coproduct_of(FormalElement.basis(g))
-        flipped = FormalTensor(2, {(b, a): c for (a, b), c in t.coeffs.items()})
-        if flipped != t:
-            return False
+    """Always true: the flip fixes the diagonal coproduct g -> g (x) g."""
     return True
 
 

@@ -20,6 +20,7 @@ from homgroups import (
     twist,
     verify,
 )
+from homgroups.classify import _invariant
 from oracles import (
     automorphisms_by_filter,
     drop_identity_twist,
@@ -281,6 +282,24 @@ class TestReduceAgainstLexMinOracle:
             classes = reduce_to_classes(inputs)
             assert [G.table.entries for G in classes] == expected
             assert all(G.unit == 0 and G.alpha.images == G.table.entries[0] for G in classes)
+
+
+class TestInvariant:
+    """The bucket key of reduce_to_classes must not split a class."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_relabeling_keeps_the_invariant(self, n):
+        rng = random.Random(100 + n)
+        for G in enumerate_hom_groups(SearchConfig(order=n, include_groups=True)):
+            for _ in range(3):
+                assert _invariant(relabel(G, rng.sample(range(n), n))) == _invariant(G)
+
+    @pytest.mark.parametrize("group", [cyclic_group(8), dihedral_group(4)], ids=["zn:8", "dn:4"])
+    def test_relabeled_order_eight_twists(self, group):
+        rng = random.Random(8)
+        for alpha in automorphisms_of(group):
+            G = twist(group, alpha)
+            assert _invariant(relabel(G, rng.sample(range(8), 8))) == _invariant(G)
 
 
 class TestCountsPastOrderSix:

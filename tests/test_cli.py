@@ -96,6 +96,53 @@ class TestVerifyCommand:
         assert out.rstrip().splitlines()[-1] == "error: parse-error"
 
 
+def _out_of_range_entry(doc):
+    doc["table"][1][2] = 3
+
+
+def _out_of_range_unit(doc):
+    doc["unit"] = 3
+
+
+def _non_bijective_alpha(doc):
+    doc["alpha"] = [0, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_out_of_range_entry, "table entries must lie in 0..2"),
+        (_out_of_range_unit, "unit must lie in 0..2"),
+        (_non_bijective_alpha, "alpha must be a permutation of 0..2"),
+    ],
+    ids=["table-entry", "unit", "alpha"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "PATH"],
+        ["subgroups", "PATH"],
+        ["cosets", "PATH", "--subgroup", "0"],
+        ["lagrange", "PATH"],
+        ["cauchy", "PATH"],
+        ["hopf", "PATH", "--check"],
+        ["hopf", "PATH", "--dims"],
+        ["cayley", "PATH"],
+        ["twist", "--group", "PATH", "--list-autos"],
+    ],
+    ids=lambda c: " ".join(c),
+)
+def test_out_of_range_document_is_a_parse_error(tmp_path, capsys, command, corrupt, message):
+    # Each document passes the shape checks; only the range checks stop it before the library.
+    doc = hom_group_to_document(cyclic_group(3))
+    corrupt(doc)
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, *(str(path) if arg == "PATH" else arg for arg in command))
+    assert code == 2
+    assert out == f"{path}: {message}\nerror: parse-error\n"
+
+
 class TestClassifyCommand:
     def test_order_three_golden(self, capsys):
         code, out = run(capsys, "classify", "--order", "3")

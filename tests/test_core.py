@@ -1,5 +1,7 @@
+from functools import cache
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from homgroups import (
     CayleyTable,
@@ -9,7 +11,9 @@ from homgroups import (
     Permutation,
     SearchConfig,
     alpha_apply,
+    automorphisms_of,
     cyclic_group,
+    dihedral_group,
     enumerate_hom_groups,
     fixture,
     inverse_of,
@@ -122,6 +126,15 @@ class TestVerify:
         report = verify(((0, 1), (1, 1)), (0, 1), 0)
         assert ("latin-row", (1, 0, 1)) in report.violations
         assert ("inverse-missing", (1,)) in report.violations
+
+    def test_inverse_witnesses_on_repeated_and_missing_units(self):
+        # Row 1 holds the unit twice: the partner is its first column, 0, and
+        # 0*1 = 1 breaks symmetry; the second column would pass (1*1 = 0).
+        # Row 2 lacks the unit.
+        table = ((0, 1, 2), (0, 0, 2), (2, 1, 1))
+        report = verify(table, (0, 1, 2), 0)
+        inverse = [v for v in report.violations if v[0].startswith("inverse")]
+        assert inverse == [("inverse-missing", (2,)), ("inverse-asymmetric", (1, 0))]
 
     def test_nonassociative_loop_flagged(self):
         # order-5 loop that is not a group; twist = identity row
@@ -362,6 +375,35 @@ class TestPowers:
         with pytest.raises(ValueError):
             left_power(z3a, 1, 0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_powers_match_the_naive_fold(self, data):
+        kind = data.draw(st.sampled_from(["zn", "dn"]))
+        G = data.draw(st.sampled_from(_twists_of(kind, data.draw(st.integers(1, 8)))))
+        x = data.draw(st.integers(0, G.n - 1))
+        t = G.table.entries
+        right = left = x
+        for m in range(1, 3 * G.n + 1):
+            assert right_power(G, x, m) == right, m
+            assert left_power(G, x, m) == left, m
+            right = t[right][x]
+            left = t[x][left]
+
+    def test_error_precedence(self, z3a):
+        # index, then exponent type, then m >= 1
+        with pytest.raises(ValueError, match="index"):
+            right_power(z3a, 3, 0.5)
+        with pytest.raises(ValueError, match="exponent"):
+            left_power(z3a, 0, -1.0)
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            right_power(z3a, 0, -1)
+
+
+@cache
+def _twists_of(kind, k):
+    G = cyclic_group(k) if kind == "zn" else dihedral_group(k)
+    return tuple(twist(G, a) for a in automorphisms_of(G))
+
 
 class TestPowerOrbit:
     def test_fixed_point(self, z3a):
@@ -386,6 +428,14 @@ class TestPowerOrbit:
     def test_bad_side(self, z3a):
         with pytest.raises(ValueError):
             power_orbit(z3a, 0, "up")
+
+    def test_powers_run_round_one_cycle(self):
+        # Multiplying by x permutes the carrier, so no power orbit has a preperiod;
+        # right_power and left_power rely on it.
+        for G in _all_structures_up_to(6):
+            for x in range(G.n):
+                for side in ("left", "right"):
+                    assert power_orbit(G, x, side).preperiod == 0
 
 
 class TestStructuralLemmas:

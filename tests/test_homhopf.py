@@ -204,6 +204,8 @@ class TestVerifyHomHopf:
                     left = left + e(c1).scale(c * A.counit_of(e(c2)))
                     right = right + e(c2).scale(c * A.counit_of(e(c1)))
                 assert lhs == rhs, ("coassociativity", g)
+                flipped = FormalTensor(2, {(c2, c1): c for (c1, c2), c in delta.coeffs.items()})
+                assert flipped == delta, ("cocommutativity", g)
                 assert left == right == A.cotwist_of(e(g)), ("counit", g)
                 assert A.counit_of(A.twist_of(e(g))) == A.counit_of(e(g)), ("counit-twist", g)
                 assert A.counit_of(A.antipode_of(e(g))) == A.counit_of(e(g)), ("antipode-counit", g)

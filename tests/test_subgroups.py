@@ -73,6 +73,22 @@ class TestIsHomSubgroup:
         with pytest.raises(ValueError, match="non-integer"):
             is_hom_subgroup(z3a, [0, bad])
 
+    def test_every_subset_with_the_unit_matches_subset_filter(self):
+        # The oracle also tests inverses and the twist, which subgroup_defect
+        # leaves out.  Each structure is also checked with its unit moved to
+        # the last index, so that the unit is not the least member.
+        structures = 0
+        for n in range(1, 7):
+            for G0 in enumerate_hom_groups(SearchConfig(order=n, include_groups=True)):
+                structures += 1
+                for G in (G0, relabel(G0, tuple(reversed(range(n))))):
+                    expected = set(subgroups_by_subset_filter(G))
+                    rest = [i for i in range(n) if i != G.unit]
+                    for pick in range(1 << len(rest)):
+                        S = {G.unit} | {i for bit, i in enumerate(rest) if pick >> bit & 1}
+                        assert is_hom_subgroup(G, S) == (frozenset(S) in expected), (G, S)
+        assert structures == 280
+
 
 class TestEnumerate:
     def test_z6a_exact_list(self, z6a):
