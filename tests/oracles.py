@@ -19,24 +19,28 @@ from homgroups.core import verify
 
 
 def all_latin_squares(n):
-    """Every n x n Latin square on symbols 0..n-1, row by row."""
+    """Every n x n Latin square on symbols 0..n-1, row by row.
+
+    Each candidate row p is the bitmask with bit n*j + p[j] set for every
+    column j, so a row clashes with the rows placed so far exactly when its
+    mask meets the union of theirs."""
     perms = list(permutations(range(n)))
+    masks = [sum(1 << (n * j + v) for j, v in enumerate(p)) for p in perms]
     rows = []
     out = []
 
-    def extend(col_masks):
-        depth = len(rows)
-        if depth == n:
+    def extend(used):
+        if len(rows) == n:
             out.append(tuple(rows))
             return
-        for p in perms:
-            if any(col_masks[j] >> p[j] & 1 for j in range(n)):
+        for p, mask in zip(perms, masks):
+            if mask & used:
                 continue
             rows.append(p)
-            extend([col_masks[j] | (1 << p[j]) for j in range(n)])
+            extend(used | mask)
             rows.pop()
 
-    extend([0] * n)
+    extend(0)
     return out
 
 
@@ -278,6 +282,67 @@ def lexmin_classes(structures):
                 best = flat
         found.add(tuple(best[i * n : (i + 1) * n] for i in range(n)))
     return sorted(found)
+
+
+def axiom_violations_by_scan(table, alpha, unit):
+    """The Hom-group axioms that fail on a table, twist and unit, each with
+    its least witness, in the order core.verify reports them.
+
+    Works on plain lists: every failing tuple is collected and the least
+    one kept, and twisted associativity is tested on all n^3 triples.
+    """
+    n = len(table)
+    elems = range(n)
+    cols = [[table[i][j] for i in elems] for j in elems]
+    found = []
+
+    # A line's witness is its first position q that repeats an earlier
+    # entry, with the position p of that entry: (line, p, q).
+    for tag, lines in (("latin-row", table), ("latin-col", cols)):
+        repeats = [(i, q) for i, line in enumerate(lines) for q in elems if line[q] in line[:q]]
+        if repeats:
+            i, q = min(repeats)
+            found.append((tag, (i, list(lines[i]).index(lines[i][q]), q)))
+
+    if alpha[unit] != unit:
+        found.append(("unit-fixed", (unit,)))
+    off = [j for j in elems if table[unit][j] != alpha[j]]
+    if off:
+        found.append(("unit-row", (min(off),)))
+    off = [i for i in elems if table[i][unit] != alpha[i]]
+    if off:
+        found.append(("unit-col", (min(off),)))
+
+    pairs = [
+        (g, k)
+        for g in elems
+        for k in elems
+        if alpha[table[g][k]] != table[alpha[g]][alpha[k]]
+    ]
+    if pairs:
+        found.append(("twist-multiplicative", min(pairs)))
+
+    assoc = [
+        (g, h, k)
+        for g in elems
+        for h in elems
+        for k in elems
+        if table[alpha[g]][table[h][k]] != table[table[g][h]][alpha[k]]
+    ]
+    if assoc:
+        found.append(("hom-associativity", min(assoc)))
+
+    missing = [g for g in elems if unit not in table[g]]
+    if missing:
+        found.append(("inverse-missing", (min(missing),)))
+    asym = [
+        (g, table[g].index(unit))
+        for g in elems
+        if unit in table[g] and table[table[g].index(unit)][g] != unit
+    ]
+    if asym:
+        found.append(("inverse-asymmetric", min(asym)))
+    return found
 
 
 def hopf_violations_by_scan(table, alpha, unit, antipode):

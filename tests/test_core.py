@@ -3,6 +3,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homgroups import core
 from homgroups import (
     CayleyTable,
     FiniteGroup,
@@ -14,6 +15,7 @@ from homgroups import (
     automorphisms_of,
     cyclic_group,
     dihedral_group,
+    direct_product,
     enumerate_hom_groups,
     fixture,
     inverse_of,
@@ -27,7 +29,7 @@ from homgroups import (
     twist,
     verify,
 )
-from oracles import left_divide_scan, right_divide_scan
+from oracles import axiom_violations_by_scan, left_divide_scan, right_divide_scan
 
 perm_images = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(list(range(n)))
@@ -160,6 +162,73 @@ class TestVerify:
             HomGroup(z3a.table, z3a.alpha, unit)
         with pytest.raises(ValueError):
             FiniteGroup(((0, 1), (1, 0)), unit)
+
+
+# An order-5 loop that is not a group; its unit row is the identity.
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1), (3, 4, 1, 2, 0), (4, 2, 0, 1, 3))
+
+
+class TestVerifyAgainstScan:
+    """verify settles hom-associativity by Light's test on the untwisted
+    table and scans all n^3 triples only when that test fails or cannot
+    certify; its reports must equal a plain scan of every axiom."""
+
+    def test_small_structures_and_corruptions(self, corrupted_small_structures):
+        cases = corrupted_small_structures
+        assert len({G for G, *_ in cases if G.unit == 0}) == 280
+        seen = set()
+        for _, table, alpha, unit in cases:
+            report = verify(table, alpha, unit)
+            assert list(report.violations) == axiom_violations_by_scan(table, alpha, unit), (
+                table, alpha, unit,
+            )
+            seen.update(report.tags())
+        assert "hom-associativity" in seen and "twist-multiplicative" in seen
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_edited_twists_of_zn_and_dn(self, twists_of, data):
+        kind = data.draw(st.sampled_from(["zn", "dn"]))
+        G = data.draw(st.sampled_from(twists_of(kind, data.draw(st.integers(1, 16)))))
+        table = [list(row) for row in G.table.entries]
+        cell = data.draw(st.tuples(*[st.integers(0, G.n - 1)] * 3))
+        if data.draw(st.booleans()):
+            table[cell[0]][cell[1]] = cell[2]
+        alpha = list(G.alpha.images)
+        report = verify(table, alpha, G.unit)
+        assert list(report.violations) == axiom_violations_by_scan(table, alpha, G.unit)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["unit-0", "unit-1"])
+    def test_loop_associative_on_a_subloop_only(self, swap):
+        # LOOP5 x Z2 with (l, z) at index 2l + z and the identity twist passes
+        # every check before hom-associativity.  Only {unit} x Z2 associates
+        # with everything, and the first generator (unit, 1) lies in it, at
+        # index 1, or at index 0 once the labels 0 and 1 are swapped.
+        p = (1, 0) + tuple(range(2, 10)) if swap else tuple(range(10))
+        table = [[0] * 10 for _ in range(10)]
+        for x in range(10):
+            for y in range(10):
+                table[p[x]][p[y]] = p[2 * LOOP5[x // 2][y // 2] + (x ^ y) % 2]
+        report = verify(table, range(10), p[0])
+        assert report.tags()[0] == "hom-associativity"
+        assert list(report.violations) == axiom_violations_by_scan(table, range(10), p[0])
+
+    def test_hom_groups_never_reach_the_scan(
+        self, monkeypatch, corrupted_small_structures, twists_of
+    ):
+        # Light's test must certify every Hom-group of order 2 and up with at
+        # most floor(log2 n) generators, so the unit cannot be one of them:
+        # (Z2)^k needs all k.  The trivial structure's one triple is scanned.
+        cube = direct_product(direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(2))
+        groups = [G for G, *_ in corrupted_small_structures if G.n > 1]
+        groups += [cube, direct_product(cube, cube), *twists_of("zn", 16), *twists_of("dn", 16)]
+
+        def scan(t, a):
+            raise AssertionError("the n^3 scan ran on a Hom-group")
+
+        monkeypatch.setattr(core, "_hom_associativity_witness", scan)
+        for G in groups:
+            assert verify(G.table, G.alpha, G.unit).valid
 
 
 class TestConstruction:

@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homgroups import (
     CayleyTable,
@@ -184,6 +185,42 @@ class TestVerifyHomHopf:
             seen.update(report.tags())
         # the corruptions reach every identity that depends on the data
         assert seen == {"algebra-assoc", "algebra-unit", "antipode", "antipode-unit"}
+
+    def test_matches_scan_oracle_up_to_order_6(self, corrupted_small_structures):
+        # algebra-assoc goes through Light's test whenever the twist is
+        # multiplicative, as it is for every table with the identity twist.
+        for G, table, alpha, unit in corrupted_small_structures:
+            A = dataclasses.replace(
+                build_group_hopf(G),
+                product=CayleyTable(table),
+                alpha=Permutation(alpha),
+                unit=unit,
+            )
+            expected = hopf_violations_by_scan(table, alpha, unit, list(G.inverses))
+            assert list(verify_hom_hopf(A).violations) == expected, (table, alpha, unit)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_edited_twists_of_zn_and_dn(self, twists_of, data):
+        kind = data.draw(st.sampled_from(["zn", "dn"]))
+        G = data.draw(st.sampled_from(twists_of(kind, data.draw(st.integers(1, 16)))))
+        table = [list(row) for row in G.table.entries]
+        cell = data.draw(st.tuples(*[st.integers(0, G.n - 1)] * 3))
+        if data.draw(st.booleans()):
+            table[cell[0]][cell[1]] = cell[2]
+        A = dataclasses.replace(build_group_hopf(G), product=CayleyTable(table))
+        expected = hopf_violations_by_scan(table, G.alpha.images, G.unit, G.inverses)
+        assert list(verify_hom_hopf(A).violations) == expected
+
+    def test_unreached_unit_is_not_certified(self):
+        # With the identity twist the generators 1 and 2 pass Light's test
+        # and reach only {1, 2, 3}, a copy of Z3; the claimed unit 0 is
+        # outside that closure and breaks associativity, so the scan must run.
+        table = ((0, 1, 2, 3), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+        A = dataclasses.replace(build_group_hopf(cyclic_group(4)), product=CayleyTable(table))
+        report = verify_hom_hopf(A)
+        assert report.violations[0] == ("algebra-assoc", (2, 0, 1))
+        assert list(report.violations) == hopf_violations_by_scan(table, A.alpha.images, 0, A.antipode)
 
     def test_coalgebra_identities_hold_by_construction(self):
         # The identities verify_hom_hopf does not check, through the linear maps.

@@ -3,6 +3,9 @@
 import ast
 from pathlib import Path
 
+import pytest
+from oracles import all_latin_squares
+
 ORACLES = Path(__file__).with_name("oracles.py")
 
 
@@ -16,3 +19,11 @@ def test_oracles_import_only_the_axiom_checker():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "homgroups":
             imported += [f"{node.module}.{a.name}" for a in node.names]
     assert set(imported) <= {"homgroups.core.verify"}
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 12), (4, 576), (5, 161_280)])
+def test_latin_square_counts(n, count):
+    # OEIS A002860: the number of n x n Latin squares.
+    squares = all_latin_squares(n)
+    assert len(squares) == len(set(squares)) == count
+    assert all(sorted(col) == list(range(n)) for sq in squares for col in zip(*sq))

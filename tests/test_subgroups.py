@@ -19,6 +19,7 @@ from homgroups import (
     enumerate_hom_subgroups,
     enumerate_hom_groups,
     fixture,
+    inner_automorphism,
     is_abelian,
     is_hom_subgroup,
     lagrange_check,
@@ -423,6 +424,23 @@ class TestCauchy:
         assert [h.sorted_members() for h in enumerate_hom_subgroups(klein_twist)] == [
             (0,),
             (0, 1, 2, 3),
+        ]
+
+    def test_s3_twisted_by_conjugation_has_no_order_two_subgroup(self):
+        # conjugation by the rotation r moves each of the three reflections,
+        # so only the rotation subgroup is twist-stable besides the trivial
+        # ones, and p = 2 divides 6 without a witness
+        S3 = dihedral_group(3)
+        G = twist(S3, inner_automorphism(S3, 1))
+        entries = cauchy_search(G).entries
+        assert [(e.prime, e.witness and e.witness.sorted_members()) for e in entries] == [
+            (2, None),
+            (3, (0, 1, 2)),
+        ]
+        assert [h.sorted_members() for h in enumerate_hom_subgroups(G)] == [
+            (0,),
+            (0, 1, 2),
+            (0, 1, 2, 3, 4, 5),
         ]
 
 
