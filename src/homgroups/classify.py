@@ -18,8 +18,9 @@ is a Hom-group with unit 0.  So the labeled Hom-groups with unit 0 on
 automorphism of it), and the identity automorphism gives the ordinary
 groups.  The enumeration runs the cell-by-cell Latin-square search only
 for the identity twist, which finds the group tables, and twists each
-table by every automorphism; each emitted structure passes the full
-axiom check on construction.
+table by every automorphism.  Each group table passes the full group
+check; by the converse above each twist of it is then a Hom-group, so
+twist builds it without checking the axioms again.
 
 The reduction to isomorphism classes buckets structures by a cheap
 isomorphism invariant, tests each against the representatives already
@@ -61,7 +62,9 @@ class ClassifyStats:
     """What one classification did: counts and seconds per phase.
 
     Filled in by enumerate_hom_groups (search and twist phases) and
-    reduce_to_classes (reduce phase) when passed to them.
+    reduce_to_classes (reduce phase) when passed to them.  The twist phase
+    is split in two: automorphisms_s is the automorphism searches, and
+    twist_s the rest, mostly the group checks and the twists.
     """
 
     def __init__(self) -> None:
@@ -72,6 +75,7 @@ class ClassifyStats:
         self.isomorphism_calls = 0
         self.canonical_form_calls = 0
         self.search_s = 0.0
+        self.automorphisms_s = 0.0
         self.twist_s = 0.0
         self.reduce_s = 0.0
 
@@ -225,10 +229,13 @@ def enumerate_hom_groups(
     # One Permutation per distinct twist, shared by every structure it twists, saves memory.
     twists: dict[tuple[int, ...], Permutation] = {}
     structures: list[HomGroup] = []
+    automorphisms_s = 0.0
     while tables:
         # Popping frees each group table once twisted, for the structures to reuse.
         group = FiniteGroup(tables.pop())
+        before = time.perf_counter()
         autos = automorphisms_of(group)
+        automorphisms_s += time.perf_counter() - before
         stats.automorphisms += len(autos)
         for alpha in autos:
             if alpha.is_identity and not cfg.include_groups:
@@ -237,7 +244,8 @@ def enumerate_hom_groups(
     structures.sort(key=lambda g: g.table.entries)
     stats.structures += len(structures)
     stats.search_s += searched - start
-    stats.twist_s += time.perf_counter() - searched
+    stats.automorphisms_s += automorphisms_s
+    stats.twist_s += time.perf_counter() - searched - automorphisms_s
     return structures
 
 

@@ -12,11 +12,13 @@ from typing import Iterator
 from .core import (
     FiniteGroup,
     HomGroup,
+    InvalidStructureError,
     Permutation,
     PermLike,
     _as_perm,
     _check_index,
     _multiplicativity_witness,
+    verify,
 )
 
 
@@ -161,6 +163,14 @@ def twist(G: FiniteGroup, alpha: PermLike) -> HomGroup:
     The twisted product is alpha(g*k); the result is a Hom-group with the
     same unit and twist alpha.  A non-automorphism is rejected with the
     first witness pair where multiplicativity fails.
+
+    A group twisted by an automorphism is always a Hom-group (the proof is
+    in the classify module), and the twisted product alpha(g*x) is the unit
+    exactly when g*x is, so the result keeps G's inverses and is built
+    without running verify again.  The proof needs G to be a group: if G's
+    own twist is not the identity, the twisted table is checked and
+    rejected with InvalidStructureError, as the HomGroup constructor would
+    reject it.
     """
     alpha = _as_perm(alpha)
     if len(alpha) != G.n:
@@ -168,10 +178,11 @@ def twist(G: FiniteGroup, alpha: PermLike) -> HomGroup:
     witness = _multiplicativity_witness(G.table.entries, alpha.images)
     if witness is not None:
         raise NotAutomorphismError(witness)
-    t = G.table.entries
     im = alpha.images
-    twisted = tuple(tuple(im[t[g][k]] for k in range(G.n)) for g in range(G.n))
-    return HomGroup(twisted, alpha, unit=G.unit, labels=G.labels)
+    twisted = tuple(tuple(map(im.__getitem__, row)) for row in G.table.entries)
+    if not G.alpha.is_identity:
+        raise InvalidStructureError(verify(twisted, alpha, G.unit))
+    return HomGroup._from_verified(twisted, alpha, G.unit, G.labels, G.inverses)
 
 
 def direct_product(G: HomGroup, H: HomGroup) -> HomGroup:

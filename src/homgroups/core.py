@@ -153,8 +153,12 @@ class AxiomReport:
 
     violations holds one (tag, witness) pair per violated axiom, where the
     witness is the lexicographically first tuple of carrier indices that
-    exhibits the failure.  Later axioms are still checked after an earlier
-    one fails, so a report names every broken axiom, not just the first.
+    exhibits the failure.  The exceptions are latin-row and latin-col, whose
+    witness is (line, earlier position, first repeated position): the first
+    line with a repeated entry, the first position in it whose entry already
+    occurred, and where that entry occurred before.  Later axioms are still
+    checked after an earlier one fails, so a report names every broken
+    axiom, not just the first.
     """
 
     valid: bool
@@ -343,10 +347,12 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
 class HomGroup:
     """Verified finite Hom-group.
 
-    Construction runs the full axiom check and rejects bad data with
-    InvalidStructureError; inverses are precomputed from the table.  The
-    carrier is {0..n-1}; the unit may sit at any index.  Instances are
-    immutable and safe to share across threads.
+    The public constructor runs the full axiom check and rejects bad data
+    with InvalidStructureError; inverses are precomputed from the table.
+    Library code that has proved the axioms for the data it built, as twist
+    does for a group twisted by an automorphism, uses _from_verified
+    instead.  The carrier is {0..n-1}; the unit may sit at any index.
+    Instances are immutable and safe to share across threads.
     """
 
     __slots__ = ("table", "alpha", "unit", "labels", "inverses")
@@ -372,6 +378,29 @@ class HomGroup:
         self.unit = unit
         self.labels = labels
         self.inverses = tuple(row.index(unit) for row in table.entries)
+
+    @classmethod
+    def _from_verified(
+        cls,
+        entries: tuple[tuple[int, ...], ...],
+        alpha: Permutation,
+        unit: int,
+        labels: Optional[tuple[str, ...]],
+        inverses: tuple[int, ...],
+    ) -> "HomGroup":
+        """A Hom-group from data the caller has proved valid, unchecked.
+
+        Neither the table's range check nor verify runs, so every argument
+        must already be what the public constructor would store: entries a
+        tuple of int tuples that passes verify with alpha and unit, labels a
+        tuple of n strings or None, and inverses[g] the column of unit in
+        row g.
+        """
+        table = object.__new__(CayleyTable)
+        object.__setattr__(table, "entries", entries)
+        G = object.__new__(cls)
+        G.table, G.alpha, G.unit, G.labels, G.inverses = table, alpha, unit, labels, inverses
+        return G
 
     @property
     def n(self) -> int:

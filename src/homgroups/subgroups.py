@@ -161,11 +161,10 @@ def enumerate_hom_subgroups(G: HomGroup) -> list[SubsetHandle]:
     return handles
 
 
-def _cosets(G: HomGroup, H: SubsetLike, reps: Iterable[int], side: Side) -> list[Coset]:
-    """The coset of H at each representative.
+def _checked_subgroup(G: HomGroup, H: SubsetLike, side: Side) -> SubsetHandle:
+    """H as a handle, once side and H have passed their checks.
 
-    Side and H are checked once, before any representative.  A rejected
-    H is named with its members as given, repeats included.
+    A rejected H is named with its members as given, repeats included.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -173,25 +172,26 @@ def _cosets(G: HomGroup, H: SubsetLike, reps: Iterable[int], side: Side) -> list
     defect = subgroup_defect(G, given)
     if defect is not None:
         raise ValueError(f"subset {format_subset(given)} is not a Hom-subgroup: {defect}")
-    sub = H if isinstance(H, SubsetHandle) else SubsetHandle(G, frozenset(given))
+    return H if isinstance(H, SubsetHandle) else SubsetHandle(G, frozenset(given))
+
+
+def _coset(G: HomGroup, sub: SubsetHandle, g: int, side: Side) -> Coset:
+    """The coset of a checked Hom-subgroup at the representative g."""
+    _check_index(G, g)
     members = sub.members
     t = G.table.entries
-    out = []
-    for g in reps:
-        _check_index(G, g)
-        if side == "left":
-            result = frozenset(t[g][h] for h in members)
-        else:
-            result = frozenset(t[h][g] for h in members)
-        if len(result) != len(members):
-            raise AssertionError(f"coset size {len(result)} != subgroup size {len(members)}")
-        out.append(Coset(parent=G, subgroup=sub, representative=g, side=side, members=result))
-    return out
+    if side == "left":
+        result = frozenset(t[g][h] for h in members)
+    else:
+        result = frozenset(t[h][g] for h in members)
+    if len(result) != len(members):
+        raise AssertionError(f"coset size {len(result)} != subgroup size {len(members)}")
+    return Coset(parent=G, subgroup=sub, representative=g, side=side, members=result)
 
 
 def coset(G: HomGroup, H: SubsetLike, g: int, side: Side = "left") -> Coset:
     """The coset g*H (left) or H*g (right); always the same size as H."""
-    return _cosets(G, H, (g,), side)[0]
+    return _coset(G, _checked_subgroup(G, H, side), g, side)
 
 
 def coset_partition(G: HomGroup, H: SubsetLike, side: Side = "left") -> list[Coset]:
@@ -199,21 +199,23 @@ def coset_partition(G: HomGroup, H: SubsetLike, side: Side = "left") -> list[Cos
 
     Scans representatives in increasing order and keeps the first
     generator of each distinct block, so the output is deterministic.
-    An element need not lie in its own coset here (g*H contains alpha(g),
-    not necessarily g), so blocks are deduplicated by value rather than
-    by covering.
+    An element need not lie in its own coset here, but g*H and H*g both
+    contain g*unit = unit*g = alpha(g).  So a representative whose
+    alpha(g) is already covered meets a kept block, and equals it since
+    cosets are disjoint or equal; only the others are formed.
     """
+    sub = _checked_subgroup(G, H, side)
+    a = G.alpha.images
     blocks: list[Coset] = []
-    seen: set[frozenset[int]] = set()
-    for c in _cosets(G, H, range(G.n), side):
-        if c.members not in seen:
-            seen.add(c.members)
-            blocks.append(c)
     covered: set[int] = set()
-    for c in blocks:
+    for g in range(G.n):
+        if a[g] in covered:
+            continue
+        c = _coset(G, sub, g, side)
         if covered & c.members:
             raise AssertionError("cosets overlap")
         covered |= c.members
+        blocks.append(c)
     if covered != set(range(G.n)):
         raise AssertionError("cosets do not cover the carrier")
     size = len(blocks[0].members)

@@ -173,7 +173,7 @@ class TestClassifyCommand:
         assert sum(stats["bucket_sizes"]) == 12
         assert stats["canonical_form_calls"] == 5
         assert stats["isomorphism_calls"] >= 12 - len(stats["bucket_sizes"])
-        assert all(stats[k] >= 0 for k in ("search_s", "twist_s", "reduce_s"))
+        assert all(stats[k] >= 0 for k in ("search_s", "automorphisms_s", "twist_s", "reduce_s"))
 
     def test_guard_refused(self, capsys):
         code, out = run(capsys, "classify", "--order", "7")

@@ -3,6 +3,7 @@ import pytest
 from homgroups import (
     FiniteGroup,
     HomGroup,
+    InvalidStructureError,
     NotAutomorphismError,
     Permutation,
     automorphisms_of,
@@ -16,6 +17,7 @@ from homgroups import (
     twist,
     verify,
 )
+from homgroups.classify import _group_tables
 from oracles import automorphisms_by_filter
 
 
@@ -86,10 +88,36 @@ class TestTwist:
             assert twist(d3, a).inverses == d3.inverses
 
     def test_every_automorphism_twists_cleanly(self):
-        # HomGroup construction re-verifies, so this sweep is the property
-        for G in (cyclic_group(4), cyclic_group(8), dihedral_group(3), dihedral_group(4)):
+        # twist builds its result without verify, so the sweep checks the
+        # table by verify and the rest against the checked constructor
+        groups = [FiniteGroup(t) for n in range(1, 7) for t in _group_tables(n)]
+        for k in range(1, 17):
+            groups += [cyclic_group(k), dihedral_group(k)]
+        z2, z3, z4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
+        groups += [direct_product(z2, z4), direct_product(z4, z4)]
+        groups.append(direct_product(z3, dihedral_group(3)))
+        for G in groups:
             for a in automorphisms_of(G):
+                built = twist(G, a)
+                assert verify(built.table, a, G.unit).valid
+                checked = HomGroup(built.table, a, G.unit, G.labels)
+                assert built.table == checked.table
+                assert built.alpha == checked.alpha == a
+                assert built.unit == checked.unit
+                assert built.labels == checked.labels
+                assert built.inverses == checked.inverses
+
+    @pytest.mark.parametrize("name", ["z3a", "d3a"])
+    def test_twisting_a_twisted_structure_is_rejected_as_constructed(self, name):
+        G = fixture(name)
+        for a in automorphisms_of(G):
+            table = [[a(v) for v in row] for row in G.table.entries]
+            with pytest.raises(InvalidStructureError) as expected:
+                HomGroup(table, a, G.unit, G.labels)
+            with pytest.raises(InvalidStructureError) as got:
                 twist(G, a)
+            assert got.value.report == expected.value.report
+            assert str(got.value) == str(expected.value)
 
 
 class TestClosedForms:

@@ -298,6 +298,21 @@ class TestCosetPartition:
                     equal = coset(G, H, g, "left").members == H.members
                     assert equal == (g in H.members)
 
+    def test_matches_the_dedupe_by_value_partition(self):
+        # every representative's coset, kept when its block is new
+        for n in range(1, 7):
+            for G in enumerate_hom_groups(SearchConfig(order=n, include_groups=True)):
+                for S in (G, relabel(G, [(i + 1) % n for i in range(n)])):
+                    for H in enumerate_hom_subgroups(S):
+                        for side in ("left", "right"):
+                            expected, seen = [], set()
+                            for g in range(n):
+                                c = coset(S, H, g, side)
+                                if c.members not in seen:
+                                    seen.add(c.members)
+                                    expected.append(c)
+                            assert coset_partition(S, H, side) == expected
+
     def test_subgroup_checked_once(self, z6a, monkeypatch):
         import homgroups.subgroups as subgroups
 
