@@ -59,15 +59,19 @@ _DOCUMENT_KEYS = {"order", "unit", "alpha", "table", "labels"}
 def parse_document(path: str) -> dict:
     """Read, shape- and range-check a Hom-group document; no axiom checking here."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise DocumentError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentError(f"{path}: document must be a JSON object")
     unknown = sorted(set(doc) - _DOCUMENT_KEYS)
@@ -246,10 +250,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(render_text(G))
     if args.emit is not None:
         out = Path(args.emit)
-        out.mkdir(parents=True, exist_ok=True)
-        for idx, G in enumerate(shown, start=1):
-            name = f"homgroup_order{args.order}_{idx:03d}.json"
-            (out / name).write_text(dumps_document(hom_group_to_document(G)) + "\n")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for idx, G in enumerate(shown, start=1):
+                name = f"homgroup_order{args.order}_{idx:03d}.json"
+                (out / name).write_text(dumps_document(hom_group_to_document(G)) + "\n")
+        except OSError as exc:
+            raise CliFailure(f"cannot write to {args.emit}: {exc.strerror}", TAG_DOMAIN) from None
         print(f"emitted: {len(shown)} documents to {args.emit}")
     if args.stats:
         print(json.dumps(vars(stats), sort_keys=True), file=sys.stderr)

@@ -12,7 +12,7 @@ object is immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Literal, NamedTuple, Optional, Sequence, Union
 
 Side = Literal["left", "right"]
 
@@ -214,33 +214,63 @@ def _hom_associativity_witness(
     return None
 
 
+def _closure(t: Sequence[Sequence[int]], unit: int, gens: Iterable[int]) -> frozenset[int]:
+    """Everything reached from the unit by right multiplication with the
+    unit and with each of gens.
+
+    Each member is visited once and multiplied by k + 1 elements, so the
+    walk costs O(|J|(k+1)) for a result J and k generators.  In a
+    Hom-group x*unit = alpha(x), so J is twist-stable, and for x in J the
+    untwisted product x.g = alpha^-1(x*g) lies in J.  Since alpha is an
+    automorphism of ., J is then closed under right multiplication by
+    every alpha^i(g), so it holds the subgroup of . that they generate.
+    That subgroup holds the unit, is twist-stable and is closed under *,
+    so it is J: the least Hom-subgroup holding gens.
+    """
+    steps = (unit, *gens)
+    members = {unit}
+    todo = [unit]
+    for x in todo:
+        row = t[x]
+        for s in steps:
+            y = row[s]
+            if y not in members:
+                members.add(y)
+                todo.append(y)
+    return frozenset(members)
+
+
 def _untwisted_is_associative(t: Sequence[Sequence[int]], a: Sequence[int], unit: int) -> bool:
     """True when Light's test proves g.h = a^-1(g*h) associative.
 
-    If a is multiplicative for *, it is an automorphism of the untwisted
-    product, and a(g)*(h*k) = a^2(g.(h.k)) while (g*h)*a(k) = a^2((g.h).k),
-    so twisted associativity holds exactly when . is associative.  The
-    elements s with (x.s).y = x.(s.y) for all x, y are closed under . (Light;
-    Clifford and Preston, The Algebraic Theory of Semigroups I, 1.2), so it
-    suffices to test a generating set, one row of . per element x.
+    The caller must have checked that a is multiplicative for * and that
+    the unit's row and column both equal a.  Then a is an automorphism of
+    the untwisted product, and a(g)*(h*k) = a^2(g.(h.k)) while
+    (g*h)*a(k) = a^2((g.h).k), so twisted associativity holds exactly when
+    . is associative.  The set S of elements s with (x.s).y = x.(s.y) for
+    all x, y is closed under . (Light; Clifford and Preston, The Algebraic
+    Theory of Semigroups I, 1.2).  S is a-stable, as a is an automorphism
+    of ., so it is closed under * as well, and it holds the unit, which is
+    a two-sided unit of . by the unit row and column.
 
-    Generators are picked greedily in index order, skipping the unit, and
-    the set reached by right-multiplying them lies inside the submagma they
-    generate; covering the carrier certifies generation for any magma.
-    Each generator is tested when it is picked.  In a group each generator
-    at least doubles the reached set, so the search gives up once more than
+    Generators are picked greedily in index order and each is tested, one
+    row of . per element x, when it is picked.  The set _closure reaches
+    from the tested generators lies in S, and it holds each of them, since
+    unit*g = a(g) and x*unit = a(x) walk round the twist orbit of g.  So
+    once no element is left outside it, . is associative.  In a Hom-group
+    that set is the Hom-subgroup the generators generate, which each new
+    generator at least doubles, so the search gives up once more than
     floor(log2 n) would be needed.  False therefore means "not certified":
-    a generator failed, there were too many, or the unit was never reached.
+    a generator failed, or there were too many.
     """
     n = len(t)
     a_inv = sorted(range(n), key=a.__getitem__)  # a_inv[a[i]] = i
     u = [list(map(a_inv.__getitem__, row)) for row in t]
     cap = n.bit_length() - 1
     gens: list[int] = []
-    reached = [False] * n
-    members: list[int] = []
+    reached = {unit}
     for g in range(n):
-        if g == unit or reached[g]:
+        if g in reached:
             continue
         if len(gens) == cap:
             return False
@@ -250,19 +280,8 @@ def _untwisted_is_associative(t: Sequence[Sequence[int]], a: Sequence[int], unit
             if u[row[g]] != list(map(row.__getitem__, dot_g)):
                 return False
         gens.append(g)
-        # In a group the right multiples of g by words in the generators fill
-        # the subgroup they generate, so only g and the members it brings,
-        # read from the cursor on, are multiplied out.
-        cursor = len(members)
-        reached[g] = True
-        members.append(g)
-        while cursor < len(members):
-            for y in map(u[members[cursor]].__getitem__, gens):
-                if not reached[y]:
-                    reached[y] = True
-                    members.append(y)
-            cursor += 1
-    return len(members) == n
+        reached = _closure(t, unit, gens)
+    return True
 
 
 def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:

@@ -217,8 +217,9 @@ def verify_hom_hopf(A: GroupHopfAlgebra) -> AxiomReport:
     failing basis tuple:
 
     - algebra-assoc: a(g)(hk) = (gh)a(k), witness (g, h, k), settled by
-      Light's test on the untwisted table when a is multiplicative, as in
-      core.verify, and by the scan over all triples otherwise;
+      Light's test on the untwisted table once a is multiplicative and
+      algebra-unit holds, the checks core.verify makes before it, and by
+      the scan over all triples otherwise;
     - algebra-unit: a(u) = u, witness (u,), then gu = ug = a(g);
     - antipode: s(g)g = gs(g) = u, which is S(x1)x2 = x1S(x2) = eps(x)1
       on the group-like basis element g;
@@ -236,25 +237,23 @@ def verify_hom_hopf(A: GroupHopfAlgebra) -> AxiomReport:
     s = A.antipode
     u = A.unit
     r = range(A.n)
-    # The table or twist may be corrupted, so Light's test on the untwisted
-    # table applies only once the twist is checked to be multiplicative.
-    if _multiplicativity_witness(t, a) is None and _untwisted_is_associative(t, a, u):
+    unit_hit = (u,) if a[u] != u else next(
+        ((g,) for g in r if t[g][u] != a[g] or t[u][g] != a[g]), None
+    )
+    # The table, twist or unit may be corrupted, so Light's test applies
+    # only once the unit checks pass and the twist is multiplicative.
+    light_applies = unit_hit is None and _multiplicativity_witness(t, a) is None
+    if light_applies and _untwisted_is_associative(t, a, u):
         assoc = None
     else:
         assoc = _hom_associativity_witness(t, a)
     witnesses = (
-        ("algebra-assoc", [assoc] if assoc is not None else []),
-        ("algebra-unit",
-         [(u,)] if a[u] != u else ((g,) for g in r if t[g][u] != a[g] or t[u][g] != a[g])),
-        ("antipode", ((g,) for g in r if t[s[g]][g] != u or t[g][s[g]] != u)),
-        ("antipode-unit", [(u,)] if s[u] != u else []),
+        ("algebra-assoc", assoc),
+        ("algebra-unit", unit_hit),
+        ("antipode", next(((g,) for g in r if t[s[g]][g] != u or t[g][s[g]] != u), None)),
+        ("antipode-unit", (u,) if s[u] != u else None),
     )
-    violations = []
-    for tag, found in witnesses:
-        hit = next(iter(found), None)
-        if hit is not None:
-            violations.append((tag, hit))
-    return AxiomReport.from_violations(violations)
+    return AxiomReport.from_violations([(tag, hit) for tag, hit in witnesses if hit is not None])
 
 
 def is_commutative(A: GroupHopfAlgebra) -> bool:

@@ -1,16 +1,18 @@
 """Hom-subgroups, cosets, Lagrange partitions, center and centralizers.
 
-Subgroups are found inside the Hom-group itself: the closure under the
-product of any set holding the unit is a Hom-subgroup, so the subgroup
-list is built by joining the closures of single twist orbits.
+A Hom-subgroup is an alpha-invariant subgroup of the untwisted group
+g.h = alpha^-1(g*h), so it is generated by one element of each twist
+orbit it meets.  The subgroup list is built by cyclic extension: each
+subgroup found is extended by one such element at a time, with the
+generator walk core._closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
-from .core import HomGroup, Side, _check_index
+from .core import HomGroup, Side, _check_index, _closure
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,12 @@ def subgroup_defect(G: HomGroup, S: SubsetLike) -> Optional[str]:
     """Why S fails to be a Hom-subgroup, or None if it is one.
 
     A Hom-subgroup must contain the unit, be closed under the product and
-    under inversion, and be stable under the twist.  By the argument of
-    _closure the first two imply the others, so only they are tested; the
+    under inversion, and be stable under the twist.  The first two imply
+    the others, so only they are tested.  A closed set S holding the unit
+    is twist-stable, since unit*x = alpha(x).  It holds every inverse: for
+    x in S, the row of x restricted to S is injective, because rows of a
+    Hom-group table are, and maps the finite set S into itself, so it is
+    onto; some y in S has x*y = unit, and y is the inverse of x.  The
     first failure is reported, with a concrete witness in the message.
     """
     members = _as_members(G, S)
@@ -107,56 +113,33 @@ def is_hom_subgroup(G: HomGroup, S: SubsetLike) -> bool:
     return subgroup_defect(G, S) is None
 
 
-def _closure(t: Sequence[Sequence[int]], unit: int, seed: Iterable[int]) -> frozenset[int]:
-    """The least set containing the unit and seed that is closed under *.
-
-    That set is a Hom-subgroup.  It is twist-stable, since unit*x =
-    alpha(x).  It holds every inverse: for x in it, the row of x
-    restricted to the set is injective, because rows of a Hom-group table
-    are, and maps the finite set into itself, so it is onto; some y in the
-    set has x*y = unit, and y is the inverse of x.
-    """
-    members = {unit, *seed}
-    todo = list(members)
-    done: list[int] = []
-    while todo:
-        x = todo.pop()
-        done.append(x)
-        row = t[x]
-        for y in done:
-            for z in (row[y], t[y][x]):
-                if z not in members:
-                    members.add(z)
-                    todo.append(z)
-    return frozenset(members)
-
-
 def enumerate_hom_subgroups(G: HomGroup) -> list[SubsetHandle]:
     """All Hom-subgroups, sorted by (size, bitmask).
 
-    A Hom-subgroup is a union of twist orbits, and it contains the
-    closure of each orbit it meets.  So the atoms are the closures of
-    the single non-unit orbits, and every Hom-subgroup is the closure of
-    the union of the atoms it contains.  Starting from the trivial
-    subgroup, each subgroup found is joined with each atom it does not
-    contain, until no new subgroup appears: the search visits subgroups,
+    Each subgroup is recorded with a tuple of generators.  Starting from
+    the trivial subgroup, each subgroup H found is extended by the first
+    element x of every non-unit twist orbit that H misses: the join of H
+    and x is _closure of H's generators and x, which costs O(|J|(k+1)) for
+    k generators instead of re-forming every product inside H.  Every
+    Hom-subgroup is reached, as a chain of such joins by the first
+    elements of the orbits it contains, so the search visits subgroups,
     never the 2^orbits unions of orbits.
     """
     t = G.table.entries
     unit = G.unit
-    atoms = {_closure(t, unit, c) for c in G.alpha.cycles() if unit not in c}
-    trivial = frozenset((unit,))
-    found = {trivial}
-    todo = [trivial]
+    firsts = [c[0] for c in G.alpha.cycles() if unit not in c]
+    gens_of = {frozenset((unit,)): ()}
+    todo = list(gens_of)
     while todo:
         H = todo.pop()
-        for A in atoms:
-            if not A <= H:
-                J = _closure(t, unit, H | A)
-                if J not in found:
-                    found.add(J)
+        for x in firsts:
+            if x not in H:
+                gens = gens_of[H] + (x,)
+                J = _closure(t, unit, gens)
+                if J not in gens_of:
+                    gens_of[J] = gens
                     todo.append(J)
-    handles = [SubsetHandle(G, members) for members in found]
+    handles = [SubsetHandle(G, members) for members in gens_of]
     handles.sort(key=lambda h: (len(h), h.bitmask))
     return handles
 

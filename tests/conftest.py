@@ -1,5 +1,6 @@
 import random
 from functools import cache
+from itertools import product
 
 import pytest
 
@@ -82,6 +83,25 @@ def corrupted_small_structures():
             retwisted = [[swapped[alpha.index(v)] for v in row] for row in table]
             cases.append((G, retwisted, swapped, G.unit))
         cases.append((G, table, alpha, (G.unit + rng.randrange(1, n)) % n))
+    return cases
+
+
+@pytest.fixture(scope="session")
+def unit_framed_order3():
+    """(table, alpha, unit) for every order-3 table whose unit row and unit
+    column both equal the twist, for each unit and each twist fixing it:
+    3 units x 2 twists x 3^4 fillings of the other four cells, 486 tables,
+    most of them not Latin squares."""
+    cases = []
+    for unit in range(3):
+        p, q = (x for x in range(3) if x != unit)
+        for alpha in ([0, 1, 2], [q if x == p else p if x == q else x for x in range(3)]):
+            for cells in product(range(3), repeat=4):
+                table = [[0] * 3 for _ in range(3)]
+                table[p][p], table[p][q], table[q][p], table[q][q] = cells
+                for x in range(3):
+                    table[unit][x] = table[x][unit] = alpha[x]
+                cases.append((table, alpha, unit))
     return cases
 
 

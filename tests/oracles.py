@@ -3,7 +3,8 @@
 Nothing here reuses the library's search or pruning machinery: Latin
 squares are generated row by row from raw permutations, divisions are
 found by scanning, subgroups by filtering every subset or as the
-twist-invariant subgroups of the untwisted group, automorphisms by
+twist-invariant subgroups of the untwisted group, closures by
+multiplying every pair of members, automorphisms by
 testing every bijection, and canonical forms by trying every
 relabeling.  The axiom checker itself is the one piece of the library the
 classification oracles are allowed to call, since it is what they filter
@@ -92,6 +93,17 @@ def subgroups_by_subset_filter(G):
         if ok:
             found.append(frozenset(members))
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def closure_by_all_pairs(table, unit, gens):
+    """The least set holding the unit and gens that is closed under the
+    product, by adding every product of two members until none is new."""
+    members = {unit, *gens}
+    while True:
+        new = {table[a][b] for a in members for b in members} - members
+        if not new:
+            return frozenset(members)
+        members |= new
 
 
 def hom_subgroups_by_untwisting(G):

@@ -82,6 +82,26 @@ class TestVerifyCommand:
         assert code == 2
         assert out.rstrip().splitlines()[-1] == "error: parse-error"
 
+    def test_non_utf8_document_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"order": 1, "labels": ["\xe9"]}')
+        code, out = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out.rstrip().splitlines() == [
+            f"{path}: not valid UTF-8 at byte 25",
+            "error: parse-error",
+        ]
+
+    def test_deeply_nested_json_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out.rstrip().splitlines() == [
+            f"{path}: JSON nested too deeply",
+            "error: parse-error",
+        ]
+
     @pytest.mark.parametrize(
         "key, value", [("order", True), ("unit", False), ("alpha", [False]), ("table", [[False]])]
     )
@@ -193,6 +213,13 @@ class TestClassifyCommand:
         ]
         for f in files:
             document_to_hom_group(parse_document(str(f)))
+
+    def test_emit_onto_a_file_is_a_domain_error(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code, out = run(capsys, "classify", "--order", "3", "--emit", str(target))
+        assert code == 2
+        assert out == CLASSIFY3_TEXT + f"cannot write to {target}: File exists\nerror: domain-error\n"
 
 
 class TestSubgroupsCommand:

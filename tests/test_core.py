@@ -198,6 +198,14 @@ class TestVerifyAgainstScan:
         report = verify(table, alpha, G.unit)
         assert list(report.violations) == axiom_violations_by_scan(table, alpha, G.unit)
 
+    def test_order_three_tables_with_twisted_unit_lines(self, unit_framed_order3):
+        assert len(unit_framed_order3) == 486
+        for table, alpha, unit in unit_framed_order3:
+            report = verify(table, alpha, unit)
+            assert list(report.violations) == axiom_violations_by_scan(table, alpha, unit), (
+                table, alpha, unit,
+            )
+
     @pytest.mark.parametrize("swap", [False, True], ids=["unit-0", "unit-1"])
     def test_loop_associative_on_a_subloop_only(self, swap):
         # LOOP5 x Z2 with (l, z) at index 2l + z and the identity twist passes
@@ -216,11 +224,11 @@ class TestVerifyAgainstScan:
     def test_hom_groups_never_reach_the_scan(
         self, monkeypatch, corrupted_small_structures, twists_of
     ):
-        # Light's test must certify every Hom-group of order 2 and up with at
-        # most floor(log2 n) generators, so the unit cannot be one of them:
-        # (Z2)^k needs all k.  The trivial structure's one triple is scanned.
+        # Light's test must certify every Hom-group with at most
+        # floor(log2 n) generators, so the unit cannot be one of them:
+        # (Z2)^k needs all k, and the trivial structure needs none.
         cube = direct_product(direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(2))
-        groups = [G for G, *_ in corrupted_small_structures if G.n > 1]
+        groups = [G for G, *_ in corrupted_small_structures]
         groups += [cube, direct_product(cube, cube), *twists_of("zn", 16), *twists_of("dn", 16)]
 
         def scan(t, a):

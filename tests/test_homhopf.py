@@ -222,6 +222,27 @@ class TestVerifyHomHopf:
         assert report.violations[0] == ("algebra-assoc", (2, 0, 1))
         assert list(report.violations) == hopf_violations_by_scan(table, A.alpha.images, 0, A.antipode)
 
+    def test_order_three_tables_with_twisted_unit_lines(self, unit_framed_order3):
+        # algebra-unit holds on all of them, so Light's test runs on every
+        # table whose twist is multiplicative, Latin or not; the antipode is
+        # each row's unit position, or the unit where the row has none.
+        base = build_group_hopf(cyclic_group(3))
+        non_latin_associative = 0
+        for table, alpha, unit in unit_framed_order3:
+            antipode = tuple(row.index(unit) if unit in row else unit for row in table)
+            A = dataclasses.replace(
+                base,
+                product=CayleyTable(table),
+                alpha=Permutation(tuple(alpha)),
+                unit=unit,
+                antipode=antipode,
+            )
+            report = verify_hom_hopf(A)
+            assert list(report.violations) == hopf_violations_by_scan(table, alpha, unit, antipode)
+            latin = all(len(set(row)) == 3 for row in table)
+            non_latin_associative += not latin and "algebra-assoc" not in report.tags()
+        assert non_latin_associative == 36
+
     def test_coalgebra_identities_hold_by_construction(self):
         # The identities verify_hom_hopf does not check, through the linear maps.
         for A in _hopf_cases():

@@ -1,4 +1,5 @@
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +28,8 @@ from homgroups import (
     subgroup_defect,
     twist,
 )
-from homgroups.subgroups import _closure
-from oracles import hom_subgroups_by_untwisting, subgroups_by_subset_filter
+from homgroups.core import _closure
+from oracles import closure_by_all_pairs, hom_subgroups_by_untwisting, subgroups_by_subset_filter
 
 TRIVIAL = HomGroup(((0,),), (0,), 0)
 
@@ -217,6 +218,28 @@ class TestClosureSearch:
         assert closed_form == count
         assert len(got) == count
         assert got == hom_subgroups_by_untwisting(G)
+
+    @pytest.mark.parametrize("spec, count", [("zn:2*dn:16", 137), ("zn:4*zn:4*zn:4", 129)])
+    def test_identity_twist_lattice_sizes(self, spec, count):
+        # D32's 69 is pinned with its closed form above.
+        G = _group(spec)
+        got = _members(G)
+        assert len(got) == count
+        assert got == hom_subgroups_by_untwisting(G)
+
+    def test_walk_matches_all_pairs(self):
+        # Every generator set of size at most 2, on every structure of order
+        # 1-6 with its unit at 0 and moved to the last index.
+        structures = 0
+        for n in range(1, 7):
+            gen_sets = [()] + [(g,) for g in range(n)] + list(combinations(range(n), 2))
+            for G0 in enumerate_hom_groups(SearchConfig(order=n, include_groups=True)):
+                structures += 1
+                for G in (G0, relabel(G0, tuple(reversed(range(n))))):
+                    t = G.table.entries
+                    for gens in gen_sets:
+                        assert _closure(t, G.unit, gens) == closure_by_all_pairs(t, G.unit, gens)
+        assert structures == 280
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
