@@ -22,10 +22,13 @@ table by every automorphism.  Each group table passes the full group
 check; by the converse above each twist of it is then a Hom-group, so
 twist builds it without checking the axioms again.
 
-The reduction to isomorphism classes buckets structures by a cheap
-isomorphism invariant, tests each against the representatives already
-kept in its bucket with the isomorphism search that also finds the
-automorphisms, and computes the lex-minimal canonical form once per class.
+The reduction to isomorphism classes computes each structure's profile
+once: a greedy generating set and, for every element, the length of its
+twist cycle and its order in the untwisted group.  Structures are bucketed
+by the multiset of those keys, which every isomorphism preserves.  Each is
+tested against the representatives already kept in its bucket by the
+generator-image search that also finds the automorphisms, given both
+profiles, and the lex-minimal canonical form is computed once per class.
 classify_order runs the enumeration and the reduction together.
 """
 
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-from .constructions import _isomorphisms, automorphisms_of, twist
+from .constructions import _isomorphisms, _profile, automorphisms_of, twist
 from .core import FiniteGroup, HomGroup, Permutation, PermLike, _as_perm
 
 ORDER_GUARD = 6  # default largest order searched; callers raise it explicitly
@@ -249,14 +252,6 @@ def enumerate_hom_groups(
     return structures
 
 
-def _invariant(G: HomGroup) -> tuple:
-    """Isomorphism invariant: the twist's cycle type and the sorted fibre
-    sizes of the squaring map x -> x*x, both preserved by any isomorphism."""
-    t = G.table.entries
-    squares = Counter(t[x][x] for x in G.elements())
-    return G.alpha.cycle_type(), tuple(sorted(squares.values()))
-
-
 def reduce_to_classes(
     structures: list[HomGroup], stats: Optional[ClassifyStats] = None
 ) -> list[HomGroup]:
@@ -264,19 +259,19 @@ def reduce_to_classes(
     stats = ClassifyStats() if stats is None else stats
     start = time.perf_counter()
     sizes: Counter[tuple] = Counter()
-    buckets: dict[tuple, list[HomGroup]] = {}
+    buckets: dict[tuple, list[tuple[HomGroup, tuple]]] = {}
     calls = 0
     for G in structures:
-        key = _invariant(G)
-        sizes[key] += 1
-        reps = buckets.setdefault(key, [])
-        for R in reps:
+        p = _profile(G)  # (generators, keys, signature)
+        sizes[p[2]] += 1
+        reps = buckets.setdefault(p[2], [])
+        for R, pr in reps:
             calls += 1
-            if are_isomorphic(R, G) is not None:
+            if next(_isomorphisms(R, G, pr, p), None) is not None:
                 break
         else:
-            reps.append(G)
-    classes = [canonical_form(R) for reps in buckets.values() for R in reps]
+            reps.append((G, p))
+    classes = [canonical_form(R) for reps in buckets.values() for R, _ in reps]
     classes.sort(key=lambda g: g.table.entries)
     stats.bucket_sizes += sorted(sizes.values(), reverse=True)
     stats.isomorphism_calls += calls
@@ -328,10 +323,12 @@ def canonical_form(G: HomGroup) -> HomGroup:
 
 
 def are_isomorphic(G: HomGroup, H: HomGroup) -> Optional[Permutation]:
-    """The lexicographically least isomorphism from G to H, or None.
+    """An isomorphism from G to H, or None when there is none.
 
-    An isomorphism matches products and intertwines the twists; the search
-    is the one that automorphisms_of runs from G to itself.
+    An isomorphism matches products and intertwines the twists.  The map
+    returned is the first one the generator-image search finds, the search
+    that automorphisms_of runs from G to itself; which of several
+    isomorphisms that is, is not part of the contract.
     """
     return next(_isomorphisms(G, H), None)
 

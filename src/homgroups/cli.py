@@ -10,6 +10,7 @@ prints a machine-parsable ``error: <tag>`` as the last line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -34,6 +35,9 @@ TAG_DOMAIN = "domain-error"
 TAG_USAGE = "usage-error"
 TAG_GUARD = "guard-refused"
 TAG_NOT_AUTOMORPHISM = "not-automorphism"
+
+# Most generator-image tuples `twist --list-autos` may try without --force.
+LIST_AUTOS_GUARD = 10**6
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -311,6 +315,10 @@ def cmd_cauchy(args: argparse.Namespace) -> int:
 def cmd_twist(args: argparse.Namespace) -> int:
     G = _load_group_operand(args.group)
     if args.list_autos:
+        size = _constructions.automorphism_search_size(G)
+        if size > LIST_AUTOS_GUARD and not args.force:
+            msg = f"automorphism search may try {size} generator images, over the guard"
+            raise CliFailure(f"{msg} of {LIST_AUTOS_GUARD}; pass --force to run it", TAG_GUARD)
         for p in _constructions.automorphisms_of(G):
             print(",".join(str(v) for v in p.images))
         return EXIT_OK
@@ -361,6 +369,8 @@ def cmd_cayley(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# One parser per process, built on the first call: parse_args keeps no state between calls.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homgroups", description="Exact toolkit for finite Hom-groups."
@@ -405,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--auto", metavar="CSV", help="image list of the automorphism")
     mode.add_argument("--conjugate", type=int, metavar="S", help="conjugation by element S")
     mode.add_argument("--list-autos", action="store_true")
+    p.add_argument("--force", action="store_true", help="override the --list-autos size guard")
     p.set_defaults(func=cmd_twist)
 
     p = sub.add_parser("hopf", help="Hopf-algebra checks on the span")
@@ -423,9 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code in (0, None):
             return EXIT_OK

@@ -1,11 +1,14 @@
 """Build Hom-groups: twisted groups, products, automorphisms, stock tables.
 
-Automorphisms and isomorphisms come from one backtracking search, since an
-automorphism is an isomorphism of a structure with itself.
+Automorphisms and isomorphisms come from one search over the images of a
+generating set, since an automorphism is an isomorphism of a structure with
+itself: a Hom-group isomorphism is an isomorphism of the untwisted groups
+that intertwines the twists, so the images of generators fix it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterator
 
@@ -17,6 +20,7 @@ from .core import (
     PermLike,
     _as_perm,
     _check_index,
+    _greedy_generators,
     _multiplicativity_witness,
     verify,
 )
@@ -70,73 +74,101 @@ def dihedral_group(n: int) -> FiniteGroup:
 def is_automorphism(G: FiniteGroup, f: PermLike) -> bool:
     """True iff f is a multiplicative bijection of G (hence unit-fixing)."""
     f = _as_perm(f)
-    if len(f) != G.n:
-        return False
-    return _multiplicativity_witness(G.table.entries, f.images) is None
+    return len(f) == G.n and _multiplicativity_witness(G.table.entries, f.images) is None
 
 
-def _isomorphisms(G: HomGroup, H: HomGroup) -> Iterator[Permutation]:
-    """Every isomorphism from G to H, in lexicographic order of images.
+def _profile(G: HomGroup) -> tuple:
+    """G's (generators, keys, signature), computed once per structure.
+
+    The generators are core._greedy_generators, the ones Light's test
+    picks.  keys[x] is (length of x's twist cycle, order of x in the
+    untwisted group g.h = alpha^-1(g*h)), and the signature is the sorted
+    key multiset.  An isomorphism preserves every key, so structures with
+    different signatures are never isomorphic.
+    """
+    t, unit = G.table.entries, G.unit
+    gens = tuple(_greedy_generators(t, unit))
+    a_inv = G.alpha.inverse().images
+    cycle = {x: len(c) for c in G.alpha.cycles() for x in c}
+
+    def order(x: int) -> int:
+        y, m = x, 1
+        while y != unit:
+            y, m = a_inv[t[y][x]], m + 1
+        return m
+
+    keys = [(cycle[x], order(x)) for x in G.elements()]
+    return gens, keys, tuple(sorted(keys))
+
+
+def _isomorphisms(G: HomGroup, H: HomGroup, pg=(), ph=()) -> Iterator[Permutation]:
+    """Every isomorphism from G to H, each once, in no promised order.
 
     An isomorphism is a bijection f with f(g*k) = f(g)*f(k) that carries
-    G's twist to H's, f(alpha(g)) = beta(f(g)); it sends unit to unit.
-    Twist cycle types are compared first as a cheap rejection.  Images are
-    assigned from the unit on, and each one propagates along the twist,
-    the inverse and every product with an element already placed.  The
-    search extends the least unplaced element with ascending images, so
-    the maps come out in lexicographic order and the first is the least.
+    G's twist alpha to H's twist beta, f(alpha(g)) = beta(f(g)).  pg and
+    ph are the _profile of G and of H, computed here when left empty.
+
+    The search sets f(unit) to H's unit and picks an image of equal key for
+    each generator g_1, ..., g_k of G in turn.  After each pick it extends
+    f along the _closure walk x -> x*s for s in (unit, g_1, ..., g_i): it
+    sets f(x*s) = f(x)*f(s) at each new element, checks that edge at each
+    element already placed, and backtracks on a clash or on an image used
+    twice.  A walk that passes every edge reaches all of G, which the
+    generators generate, with n distinct images, so f is a bijection.  It
+    is an isomorphism, so no separate O(n^2) check of products is needed:
+    - The unit edges give f(alpha(x)) = f(x*unit) = f(x)*f(unit)
+      = beta(f(x)) for every x.
+    - The generator edges then give beta(f(x.g)) = f(x*g) = f(x)*f(g)
+      = beta(f(x).f(g)), so f(x.g) = f(x).f(g) in the untwisted groups of
+      G and H, for every x and every generator g.
+    - The y with f(x.y) = f(x).f(y) for all x form a subgroup that holds
+      the generators.  It is alpha-stable: for y in it,
+      f(x.alpha(y)) = beta(f(alpha^-1(x).y)) = f(x).f(alpha(y)).  So it
+      holds the subgroup generated by the generators' twist orbits,
+      which is G, and f(x*y) = f(alpha(x.y)) = beta(f(x).f(y))
+      = f(x)*f(y) for all x and y.
     """
-    n = G.n
-    if H.n != n or G.alpha.cycle_type() != H.alpha.cycle_type():
+    gens, keys_g, signature = pg or _profile(G)
+    _, keys_h, signature_h = ph or _profile(H)
+    if signature != signature_h:  # this also compares the orders of G and H
         return
     ta, tb = G.table.entries, H.table.entries
-    aa, ab = G.alpha.images, H.alpha.images
-    ia, ib = G.inverses, H.inverses
-    f = [-1] * n
-    used = [False] * n
+    f, used = [-1] * G.n, [False] * G.n
+    members: list[int] = []
 
-    def assign(a: int, b: int, trail: list[int]) -> bool:
-        if f[a] != -1:
-            return f[a] == b
-        if used[b]:
+    def place(x: int, v: int) -> bool:
+        if used[v]:
             return False
-        f[a] = b
-        used[b] = True
-        trail.append(a)
-        if not assign(aa[a], ab[b], trail):
-            return False
-        if not assign(ia[a], ib[b], trail):
-            return False
-        for x in range(n):
-            fx = f[x]
-            if fx == -1:
-                continue
-            if not assign(ta[a][x], tb[b][fx], trail):
-                return False
-            if not assign(ta[x][a], tb[fx][b], trail):
-                return False
+        f[x] = v
+        used[v] = True
+        members.append(x)
         return True
 
-    def undo(trail: list[int]) -> None:
-        for a in reversed(trail):
-            used[f[a]] = False
-            f[a] = -1
+    def walk(i: int, old: int) -> bool:
+        # Elements placed before gens[i] take only the new step, the rest every step.
+        steps = [(s, f[s]) for s in (G.unit, *gens[: i + 1])]
+        for cursor, x in enumerate(members):
+            row_a, row_b = ta[x], tb[f[x]]
+            for s, fs in steps if cursor >= old else steps[-1:]:
+                y, v = row_a[s], row_b[fs]
+                if not (place(y, v) if f[y] == -1 else f[y] == v):
+                    return False
+        return True
 
-    def extend() -> Iterator[Permutation]:
-        if -1 not in f:
+    def extend(i: int) -> Iterator[Permutation]:
+        if i == len(gens):
             yield Permutation(tuple(f))
             return
-        a = f.index(-1)
-        for b in range(n):
-            if used[b]:
-                continue
-            trail: list[int] = []
-            if assign(a, b, trail):
-                yield from extend()
-            undo(trail)
+        old = len(members)
+        for v in (v for v, key in enumerate(keys_h) if key == keys_g[gens[i]]):
+            if place(gens[i], v) and walk(i, old):
+                yield from extend(i + 1)
+            for x in members[old:]:
+                used[f[x]], f[x] = False, -1
+            del members[old:]
 
-    if assign(G.unit, H.unit, []):
-        yield from extend()
+    place(G.unit, H.unit)
+    yield from extend(0)
 
 
 def automorphisms_of(G: HomGroup) -> list[Permutation]:
@@ -146,7 +178,16 @@ def automorphisms_of(G: HomGroup) -> list[Permutation]:
     they are the automorphisms of its untwisted group that commute with
     the twist.
     """
-    return list(_isomorphisms(G, G))
+    p = _profile(G)
+    return sorted(_isomorphisms(G, G, p, p), key=lambda f: f.images)
+
+
+def automorphism_search_size(G: HomGroup) -> int:
+    """The most generator-image tuples automorphisms_of(G) may try: the
+    product over G's generators of the number of elements sharing each
+    generator's key."""
+    gens, keys, _ = _profile(G)
+    return math.prod(keys.count(keys[g]) for g in gens)
 
 
 def inner_automorphism(G: FiniteGroup, s: int) -> Permutation:

@@ -12,7 +12,7 @@ object is immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence, Union
 
 Side = Literal["left", "right"]
 
@@ -240,6 +240,25 @@ def _closure(t: Sequence[Sequence[int]], unit: int, gens: Iterable[int]) -> froz
     return frozenset(members)
 
 
+def _greedy_generators(t: Sequence[Sequence[int]], unit: int) -> Iterator[int]:
+    """Generators picked greedily in index order: each one is the least
+    element that _closure of those before it misses.
+
+    The closure is taken when the next generator is asked for, so a caller
+    that stops early, as Light's test does on a failed row, pays for no
+    walk past its last generator.  In a Hom-group the generators generate
+    it as a Hom-subgroup, and each one at least doubles the closure, so
+    there are at most floor(log2 n) of them.
+    """
+    gens: list[int] = []
+    reached = {unit}
+    for g in range(len(t)):
+        if g not in reached:
+            yield g
+            gens.append(g)
+            reached = _closure(t, unit, gens)
+
+
 def _untwisted_is_associative(t: Sequence[Sequence[int]], a: Sequence[int], unit: int) -> bool:
     """True when Light's test proves g.h = a^-1(g*h) associative.
 
@@ -253,7 +272,7 @@ def _untwisted_is_associative(t: Sequence[Sequence[int]], a: Sequence[int], unit
     of ., so it is closed under * as well, and it holds the unit, which is
     a two-sided unit of . by the unit row and column.
 
-    Generators are picked greedily in index order and each is tested, one
+    Generators are picked by _greedy_generators and each is tested, one
     row of . per element x, when it is picked.  The set _closure reaches
     from the tested generators lies in S, and it holds each of them, since
     unit*g = a(g) and x*unit = a(x) walk round the twist orbit of g.  So
@@ -267,20 +286,14 @@ def _untwisted_is_associative(t: Sequence[Sequence[int]], a: Sequence[int], unit
     a_inv = sorted(range(n), key=a.__getitem__)  # a_inv[a[i]] = i
     u = [list(map(a_inv.__getitem__, row)) for row in t]
     cap = n.bit_length() - 1
-    gens: list[int] = []
-    reached = {unit}
-    for g in range(n):
-        if g in reached:
-            continue
-        if len(gens) == cap:
+    for count, g in enumerate(_greedy_generators(t, unit)):
+        if count == cap:
             return False
         # (x.g).y = x.(g.y) for every y, one row of . per x.
         dot_g = u[g]
         for row in u:
             if u[row[g]] != list(map(row.__getitem__, dot_g)):
                 return False
-        gens.append(g)
-        reached = _closure(t, unit, gens)
     return True
 
 

@@ -4,9 +4,9 @@ Nothing here reuses the library's search or pruning machinery: Latin
 squares are generated row by row from raw permutations, divisions are
 found by scanning, subgroups by filtering every subset or as the
 twist-invariant subgroups of the untwisted group, closures by
-multiplying every pair of members, automorphisms by
-testing every bijection, and canonical forms by trying every
-relabeling.  The axiom checker itself is the one piece of the library the
+multiplying every pair of members, automorphisms by testing every
+bijection or by closed formulas for Z_k and D_k, and canonical forms by
+trying every relabeling.  The axiom checker itself is the one piece of the library the
 classification oracles are allowed to call, since it is what they filter
 through and how the groups written down by formula are checked.
 """
@@ -14,7 +14,7 @@ through and how the groups written down by formula are checked.
 from __future__ import annotations
 
 from itertools import permutations
-from math import factorial
+from math import factorial, gcd
 
 from homgroups.core import verify
 
@@ -163,6 +163,27 @@ def automorphisms_by_filter(group):
         ):
             found.append(images)
     return sorted(found)
+
+
+def cyclic_automorphisms_by_formula(k):
+    """The automorphisms x -> u*x of Z_k on {0..k-1}, one per unit u mod
+    k, sorted by image sequence."""
+    units = [u for u in range(k) if gcd(u, k) == 1]
+    return sorted(tuple(u * x % k for x in range(k)) for u in units)
+
+
+def dihedral_automorphisms_by_formula(k):
+    """The automorphisms r^i s^e -> r^(a*i + b*e) s^e of D_k for k >= 3,
+    one per unit a mod k and b mod k, sorted by image sequence.
+
+    Index i + k*e stands for r^i s^e.  For k <= 2 the group is abelian and
+    has automorphisms outside this family."""
+    units = [a for a in range(k) if gcd(a, k) == 1]
+    return sorted(
+        tuple((a * (x % k) + b * (x // k)) % k + k * (x // k) for x in range(2 * k))
+        for a in units
+        for b in range(k)
+    )
 
 
 def isomorphisms_by_filter(source, target):

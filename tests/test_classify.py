@@ -13,6 +13,7 @@ from homgroups import (
     classify_order,
     cyclic_group,
     dihedral_group,
+    direct_product,
     enumerate_hom_groups,
     fixture,
     reduce_to_classes,
@@ -20,9 +21,11 @@ from homgroups import (
     twist,
     verify,
 )
-from homgroups.classify import _invariant
+from homgroups.constructions import _profile
 from oracles import (
     automorphisms_by_filter,
+    cyclic_automorphisms_by_formula,
+    dihedral_automorphisms_by_formula,
     drop_identity_twist,
     hom_group_counts_by_automorphisms,
     hom_groups_by_latin_filter,
@@ -146,12 +149,32 @@ def _twisted_structures():
     return stock + [twist(G, a) for G in groups for a in automorphisms_by_filter(G)]
 
 
+# Groups with closed-form automorphism lists, n <= 16, for random twists.
+_FACTORS = [(cyclic_group(k), cyclic_automorphisms_by_formula(k)) for k in range(1, 17)] + [
+    (dihedral_group(k), dihedral_automorphisms_by_formula(k)) for k in range(3, 9)
+]
+
+
+@st.composite
+def _twisted_up_to_16(draw):
+    """A random twist of Z_k or D_k, or of a product of two, with n <= 16."""
+    G, autos = draw(st.sampled_from(_FACTORS))
+    T = twist(G, draw(st.sampled_from(autos)))
+    fits = [(H, a) for H, a in _FACTORS if G.n * H.n <= 16]
+    if draw(st.booleans()):
+        H, autos = draw(st.sampled_from(fits))
+        T = direct_product(T, twist(H, draw(st.sampled_from(autos))))
+    return T
+
+
 class TestOneSearch:
-    """are_isomorphic and automorphisms_of run one backtracking search;
+    """are_isomorphic and automorphisms_of run one generator-image search;
     both are checked against brute force over bijections."""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_are_isomorphic_is_the_least_isomorphism(self, n):
+        # are_isomorphic promises an isomorphism, not the least one: its
+        # map must be one the filter finds, and None exactly when none is.
         structures = enumerate_hom_groups(SearchConfig(order=n, include_groups=True))
         # A relabeled copy of each moves the unit off 0 for n > 1.
         shift = tuple((i + 1) % n for i in range(n))
@@ -163,7 +186,23 @@ class TestOneSearch:
                     (H.table.entries, H.alpha.images, H.unit),
                 )
                 f = are_isomorphic(G, H)
-                assert (f.images if f else None) == (found[0] if found else None)
+                assert (f.images in found) if found else f is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(_twisted_up_to_16(), st.randoms(use_true_random=False))
+    def test_relabeled_twists_are_isomorphic(self, G, rng):
+        H = relabel(G, rng.sample(range(G.n), G.n))
+        _witness_ok(G, H, are_isomorphic(G, H))
+
+    def test_equal_key_multisets_not_isomorphic(self):
+        # x -> 2x and x -> 3x on Z5: every non-unit key is (4, 5) in both,
+        # but 2 and 3 = 2^-1 are not conjugate in the abelian Aut(Z5).
+        z5 = cyclic_group(5)
+        doubled, tripled = twist(z5, (0, 2, 4, 1, 3)), twist(z5, (0, 3, 1, 4, 2))
+        assert _profile(doubled)[2] == _profile(tripled)[2]
+        triple = lambda G: (G.table.entries, G.alpha.images, G.unit)
+        assert isomorphisms_by_filter(triple(doubled), triple(tripled)) == []
+        assert are_isomorphic(doubled, tripled) is None
 
     @pytest.mark.parametrize("T", _twisted_structures())
     def test_automorphisms_of_a_twist_commute_with_it(self, T):
@@ -284,6 +323,11 @@ class TestReduceAgainstLexMinOracle:
             assert all(G.unit == 0 and G.alpha.images == G.table.entries[0] for G in classes)
 
 
+def _bucket_key(G):
+    """The key multiset that reduce_to_classes buckets by."""
+    return _profile(G)[2]
+
+
 class TestInvariant:
     """The bucket key of reduce_to_classes must not split a class."""
 
@@ -292,14 +336,14 @@ class TestInvariant:
         rng = random.Random(100 + n)
         for G in enumerate_hom_groups(SearchConfig(order=n, include_groups=True)):
             for _ in range(3):
-                assert _invariant(relabel(G, rng.sample(range(n), n))) == _invariant(G)
+                assert _bucket_key(relabel(G, rng.sample(range(n), n))) == _bucket_key(G)
 
     @pytest.mark.parametrize("group", [cyclic_group(8), dihedral_group(4)], ids=["zn:8", "dn:4"])
     def test_relabeled_order_eight_twists(self, group):
         rng = random.Random(8)
         for alpha in automorphisms_of(group):
             G = twist(group, alpha)
-            assert _invariant(relabel(G, rng.sample(range(8), 8))) == _invariant(G)
+            assert _bucket_key(relabel(G, rng.sample(range(8), 8))) == _bucket_key(G)
 
 
 class TestCountsPastOrderSix:

@@ -2,8 +2,16 @@ import json
 
 import pytest
 
-from homgroups import SearchConfig, cyclic_group, enumerate_hom_groups, fixture, relabel
+from homgroups import (
+    SearchConfig,
+    cyclic_group,
+    direct_product,
+    enumerate_hom_groups,
+    fixture,
+    relabel,
+)
 from homgroups.cli import (
+    build_parser,
     dumps_document,
     document_to_hom_group,
     hom_group_to_document,
@@ -11,6 +19,7 @@ from homgroups.cli import (
     parse_document,
     render_text,
 )
+from oracles import dihedral_automorphisms_by_formula
 
 Z3A_TEXT = """\
 * | 1 a b
@@ -383,6 +392,42 @@ class TestTwistCommand:
         assert code == 0
         assert out == "0,1,2,3,4,5\n0,5,4,3,2,1\n"
 
+    def test_list_autos_guard_refuses_at_once(self, tmp_path, capsys):
+        # (Z2)^6 has six generators with 63 candidate images each, so the
+        # search would try 63^6 tuples to list |GL(6,2)| maps.
+        G = cyclic_group(2)
+        for _ in range(5):
+            G = direct_product(G, cyclic_group(2))
+        path = tmp_path / "z2_6.json"
+        path.write_text(dumps_document(hom_group_to_document(G)))
+        code, out = run(capsys, "twist", "--group", str(path), "--list-autos")
+        assert code == 2
+        assert out == (
+            f"automorphism search may try {63**6} generator images, over the guard of "
+            "1000000; pass --force to run it\nerror: guard-refused\n"
+        )
+
+    def test_list_autos_force_overrides_the_guard(self, capsys, monkeypatch):
+        import homgroups.cli as cli
+
+        # dn:4: r has 2 candidates (r, r^3), s has 5 (r^2 and the reflections).
+        monkeypatch.setattr(cli, "LIST_AUTOS_GUARD", 9)
+        code, out = run(capsys, "twist", "--group", "dn:4", "--list-autos")
+        assert (code, out.splitlines()[-1]) == (2, "error: guard-refused")
+        code, out = run(capsys, "twist", "--group", "dn:4", "--list-autos", "--force")
+        assert code == 0
+        assert out.splitlines() == [
+            ",".join(map(str, f)) for f in dihedral_automorphisms_by_formula(4)
+        ]
+
+    def test_list_autos_under_the_guard(self, capsys):
+        # dn:32 tries 16 * 33 generator images.
+        code, out = run(capsys, "twist", "--group", "dn:32", "--list-autos")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 512
+        assert lines == [",".join(map(str, f)) for f in dihedral_automorphisms_by_formula(32)]
+
     def test_non_automorphism_rejected(self, capsys):
         code, out = run(capsys, "twist", "--group", "zn:6", "--auto", "0,2,1,3,4,5")
         assert code == 2
@@ -474,6 +519,43 @@ class TestDocumentLayer:
         # independent of the index order
         moved = relabel(z3a, (1, 0, 2))
         assert render_text(moved) == render_text(z3a)
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may change what a
+    later one prints."""
+
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys):
+        path = write_fixture(tmp_path, "z6a")
+        sequence = [
+            ["twist", "--group", "zn:6"],
+            ["classify", "--order", "4", "--stats"],
+            ["classify", "--order", "4"],
+            ["lagrange", path],
+            ["cayley", path, "--format", "csv"],
+        ]
+
+        def outcome(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            err = captured.err
+            if "--stats" in argv:  # the phase timings differ from run to run
+                stats = json.loads(err)
+                err = {k: v for k, v in stats.items() if not k.endswith("_s")}
+            return code, captured.out, err
+
+        parser = build_parser()
+        reused = [outcome(argv) for argv in sequence]
+        assert build_parser() is parser
+        fresh = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert reused == fresh
+        assert reused[0][0] == 2 and reused[0][1] == "error: usage-error\n"
+        # classify prints the same with and without --stats, and the stats
+        # line of one call does not carry over to the next.
+        assert reused[1][1] == reused[2][1] and reused[2][2] == ""
 
 
 class TestErrorSurface:

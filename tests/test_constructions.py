@@ -18,7 +18,11 @@ from homgroups import (
     verify,
 )
 from homgroups.classify import _group_tables
-from oracles import automorphisms_by_filter
+from oracles import (
+    automorphisms_by_filter,
+    cyclic_automorphisms_by_formula,
+    dihedral_automorphisms_by_formula,
+)
 
 
 class TestGroups:
@@ -185,6 +189,20 @@ class TestAutomorphismEnumeration:
     def test_matches_exhaustive_filter(self, builder, arg):
         G = builder(arg)
         assert [p.images for p in automorphisms_of(G)] == automorphisms_by_filter(G)
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_cyclic_matches_the_unit_formula(self, k):
+        autos = automorphisms_of(cyclic_group(k))
+        assert [p.images for p in autos] == cyclic_automorphisms_by_formula(k)
+
+    @pytest.mark.parametrize("k", range(1, 33))
+    def test_dihedral_matches_the_closed_formula(self, k):
+        # D_1 = Z2 and D_2 = Z2^2 are abelian, outside the formula's family.
+        expected = (
+            automorphisms_by_filter(dihedral_group(k)) if k <= 2
+            else dihedral_automorphisms_by_formula(k)
+        )
+        assert [p.images for p in automorphisms_of(dihedral_group(k))] == expected
 
     def test_all_outputs_are_automorphisms(self):
         d4 = dihedral_group(4)
