@@ -2,9 +2,9 @@
 
 Every Hom-group with unit 0 is a group on the same carrier twisted by
 one of its automorphisms (untwist with g.h = alpha^-1(g*h)).  So the
-search fixes the unit at index 0, completes only the group tables under
-Latin constraints with associativity propagated cell by cell, and twists
-each table by every automorphism.  At order 3 exactly one twisted
+enumeration builds one group per isomorphism class as a cyclic extension
+of a smaller group, lists its relabelings that keep the unit at index 0,
+and twists each by every automorphism.  At order 3 exactly one twisted
 structure survives: the cyclic group twisted by negation.
 """
 

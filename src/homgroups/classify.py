@@ -16,34 +16,49 @@ Conversely every group with unit 0 twisted by any of its automorphisms
 is a Hom-group with unit 0.  So the labeled Hom-groups with unit 0 on
 {0..n-1} correspond one to one with the pairs (group table with unit 0,
 automorphism of it), and the identity automorphism gives the ordinary
-groups.  The enumeration runs the cell-by-cell Latin-square search only
-for the identity twist, which finds the group tables, and twists each
-table by every automorphism.  Each group table passes the full group
-check; by the converse above each twist of it is then a Hom-group, so
-twist builds it without checking the axioms again.
+groups.  A Hom-group isomorphism is a group isomorphism f that carries
+one twist to the other, f alpha f^-1 = beta, so the classes are the pairs
+(group up to isomorphism, conjugacy class of its automorphism group).
 
-The reduction to isomorphism classes computes each structure's profile
-once: a greedy generating set and, for every element, the length of its
-twist cycle and its order in the untwisted group.  Structures are bucketed
-by the multiset of those keys, which every isomorphism preserves.  Each is
-tested against the representatives already kept in its bucket by the
-generator-image search that also finds the automorphisms, given both
-profiles, and the lex-minimal canonical form is computed once per class.
-classify_order runs the enumeration and the reduction together.
+Classification therefore starts from one group R per isomorphism class.
+Every group of order below 60 is solvable, so it has a normal subgroup N
+of prime index p and an element t outside N: it is a cyclic extension,
+the elements t^i x for 0 <= i < p and x in N, with t x t^-1 = phi(x) for
+some automorphism phi of N and t^p = a for some a in N.  The groups of
+order n are built from those of order n/p, for each prime p dividing n,
+by trying the table of every (phi, a): the tables that pass the group
+check are kept, one per isomorphism class.  From order 60 on, where A5
+has no such N, the builder refuses.
+
+A group R has (n-1)!/|Aut R| labeled tables with unit 0: its relabelings
+fixing 0, two of them equal exactly when they differ by an automorphism.
+Each is twisted by the relabeled automorphisms of R, so no labeled table
+needs an automorphism search of its own, and R gives (n-1)! structures.
+The classes come from R alone: R twisted by one automorphism from each
+conjugacy class, each put in canonical form.  A group twisted by an
+automorphism is a Hom-group by the converse above, so the twists are
+built without checking the axioms again.
+
+reduce_to_classes finds the classes of an arbitrary list of structures
+instead: it buckets them by the multiset of element keys (twist-cycle
+length, order in the untwisted group), which every isomorphism preserves,
+tests each against the representatives already kept in its bucket by the
+generator-image search, and puts one structure per class in canonical
+form.  The group builder dedupes its candidate tables the same way.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .constructions import _isomorphisms, _profile, automorphisms_of, twist
-from .core import FiniteGroup, HomGroup, Permutation, PermLike, _as_perm
+from .core import FiniteGroup, HomGroup, InvalidStructureError, Permutation, PermLike, _as_perm
 
 ORDER_GUARD = 6  # default largest order searched; callers raise it explicitly
+_SOLVABLE_BELOW = 60  # every group of smaller order is solvable; A5 has order 60
 
 
 class OrderGuardError(ValueError):
@@ -64,17 +79,17 @@ class SearchConfig:
 class ClassifyStats:
     """What one classification did: counts and seconds per phase.
 
-    Filled in by enumerate_hom_groups (search and twist phases) and
-    reduce_to_classes (reduce phase) when passed to them.  The twist phase
-    is split in two: automorphisms_s is the automorphism searches, and
-    twist_s the rest, mostly the group checks and the twists.
+    search_s is building the groups, one per isomorphism class, and their
+    labeled tables; automorphisms_s the automorphism searches on those
+    groups; twist_s twisting the labeled tables; reduce_s the class
+    representatives.  isomorphism_calls counts the searches that dedupe
+    the groups built, or the structures given to reduce_to_classes.
     """
 
     def __init__(self) -> None:
         self.group_tables = 0
         self.automorphisms = 0
         self.structures = 0
-        self.bucket_sizes: list[int] = []
         self.isomorphism_calls = 0
         self.canonical_form_calls = 0
         self.search_s = 0.0
@@ -83,130 +98,123 @@ class ClassifyStats:
         self.reduce_s = 0.0
 
 
-def _group_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All group tables on {0..n-1} with unit 0.
+def _distinct(structures: Iterable[HomGroup], stats: ClassifyStats) -> list[HomGroup]:
+    """The first structure met of each isomorphism class, in order met."""
+    buckets: dict[tuple, list[tuple[HomGroup, tuple]]] = {}
+    kept: list[HomGroup] = []
+    for G in structures:
+        p = _profile(G)  # (generators, keys, signature)
+        reps = buckets.setdefault(p[2], [])
+        for R, pr in reps:
+            stats.isomorphism_calls += 1
+            if next(_isomorphisms(R, G, pr, p), None) is not None:
+                break
+        else:
+            reps.append((G, p))
+            kept.append(G)
+    return kept
 
-    Cells are filled row by row under Latin constraints; a zero in (i,j)
-    forces a zero in (j,i), and associativity g*(h*k) = (g*h)*k is
-    propagated as soon as the cells an instance mentions are filled,
-    forcing the one unknown outer cell when the other side is known.
+
+def _extensions(N: FiniteGroup, p: int) -> Iterator[FiniteGroup]:
+    """Every group t^i x (0 <= i < p, x in N) with t x t^-1 = phi(x) and
+    t^p = a, over all automorphisms phi of N and all a in N.
+
+    Element t^i x has index i*|N| + x.  Since x t^j = t^j phi^-j(x), the
+    product (t^i x)(t^j y) is t^(i+j) phi^-j(x) y, with t^p replaced by a.
+    A (phi, a) whose table fails the group check is skipped.
     """
-    T = [[-1] * n for _ in range(n)]
-    rowpos = [[-1] * n for _ in range(n)]
-    row_mask = [0] * n
-    col_mask = [0] * n
-    trail: list[tuple[int, int]] = []
-    results: list[tuple[tuple[int, ...], ...]] = []
+    m, t = N.n, N.table.entries
+    for phi in automorphisms_of(N):
+        back = [phi.power(-j).images for j in range(p)]
+        for a in range(m):
+            table = tuple(
+                tuple(
+                    (i + j) % p * m + (t[a][t[back[j][x]][y]] if i + j >= p else t[back[j][x]][y])
+                    for j in range(p)
+                    for y in range(m)
+                )
+                for i in range(p)
+                for x in range(m)
+            )
+            try:
+                yield FiniteGroup(table)
+            except InvalidStructureError:
+                pass
 
-    def assign(i: int, j: int, v: int) -> bool:
-        cur = T[i][j]
-        if cur != -1:
-            return cur == v
-        if (row_mask[i] | col_mask[j]) >> v & 1:
-            return False
-        if v == 0:
-            if T[j][i] > 0:
-                return False
-        elif T[j][i] == 0:
-            return False
-        T[i][j] = v
-        rowpos[i][v] = j
-        row_mask[i] |= 1 << v
-        col_mask[j] |= 1 << v
-        trail.append((i, j))
-        if v == 0 and i != j and not assign(j, i, 0):
-            return False
 
-        # Associativity g*(h*k) = (g*h)*k.  The new cell can appear as
-        # either inner product or either outer product; resolve each
-        # instance that just became determined, forcing the one unknown
-        # outer cell when the opposite side is known.
-        for g in range(n):  # inner left: (h,k) = (i,j)
-            q = T[g][i]
-            if q == -1:
-                continue
-            a = T[g][v]
-            b = T[q][j]
-            if a == -1:
-                if b != -1 and not assign(g, v, b):
-                    return False
-            elif b == -1:
-                if not assign(q, j, a):
-                    return False
-            elif a != b:
-                return False
-        for k in range(n):  # inner right: (g,h) = (i,j)
-            p = T[j][k]
-            if p == -1:
-                continue
-            a = T[i][p]
-            b = T[v][k]
-            if a == -1:
-                if b != -1 and not assign(i, p, b):
-                    return False
-            elif b == -1:
-                if not assign(v, k, a):
-                    return False
-            elif a != b:
-                return False
-        for h in range(n):  # outer left: (i,j) = (g, h*k)
-            k = rowpos[h][j]
-            if k == -1:
-                continue
-            q = T[i][h]
-            if q == -1:
-                continue
-            b = T[q][k]
-            if b == -1:
-                if not assign(q, k, v):
-                    return False
-            elif b != v:
-                return False
-        for g in range(n):  # outer right: (i,j) = (g*h, k)
-            h = rowpos[g][i]
-            if h == -1:
-                continue
-            p = T[h][j]
-            if p == -1:
-                continue
-            a = T[g][p]
-            if a == -1:
-                if not assign(g, p, v):
-                    return False
-            elif a != v:
-                return False
-        return True
+def _groups(n: int, stats: ClassifyStats) -> list[FiniteGroup]:
+    """One group of order n per isomorphism class, each with unit 0."""
+    if n >= _SOLVABLE_BELOW:
+        raise ValueError(
+            f"order {n}: groups are built as cyclic extensions of solvable groups, "
+            f"which covers every group only below order {_SOLVABLE_BELOW}"
+        )
+    if n == 1:
+        return [FiniteGroup(((0,),))]
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    return _distinct(
+        (G for p in primes for N in _groups(n // p, stats) for G in _extensions(N, p)), stats
+    )
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            i, j = trail.pop()
-            v = T[i][j]
-            T[i][j] = -1
-            rowpos[i][v] = -1
-            row_mask[i] &= ~(1 << v)
-            col_mask[j] &= ~(1 << v)
 
-    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+def _relabelings(R: FiniteGroup) -> Iterator[tuple[tuple[int, ...], list[int], tuple]]:
+    """Each distinct relabeling of R that fixes 0 once, as (p, p^-1, table).
 
-    def search(idx: int) -> None:
-        while idx < len(cells) and T[cells[idx][0]][cells[idx][1]] != -1:
-            idx += 1
-        if idx == len(cells):
-            results.append(tuple(tuple(row) for row in T))
-            return
-        i, j = cells[idx]
-        blocked = row_mask[i] | col_mask[j]
-        for v in range(n):
-            if blocked >> v & 1:
+    Relabeling by p sends old i to new p(i); p and p composed with an
+    automorphism of R give the same table, so (n-1)!/|Aut R| are distinct.
+    """
+    t = R.table.entries
+    seen = set()
+    for rest in permutations(range(1, R.n)):
+        p = (0, *rest)
+        pinv = sorted(range(R.n), key=p.__getitem__)
+        table = tuple(tuple(p[t[i][j]] for j in pinv) for i in pinv)
+        if table not in seen:
+            seen.add(table)
+            yield p, pinv, table
+
+
+def _enumerate(
+    cfg: SearchConfig, stats: ClassifyStats
+) -> tuple[list[HomGroup], list[tuple[FiniteGroup, list[Permutation]]]]:
+    """enumerate_hom_groups' structures, and the groups they come from,
+    one per isomorphism class, each with its automorphisms."""
+    if cfg.order > cfg.max_order_guard:
+        raise OrderGuardError(
+            f"order {cfg.order} exceeds guard {cfg.max_order_guard}; "
+            "raise max_order_guard explicitly to search this far"
+        )
+    start = time.perf_counter()
+    groups = _groups(cfg.order, stats)
+    built = time.perf_counter()
+    pairs = [(R, automorphisms_of(R)) for R in groups]
+    searched = time.perf_counter()
+    tables = [(autos, *labeled) for R, autos in pairs for labeled in _relabelings(R)]
+    relabeled = time.perf_counter()
+    # One Permutation per distinct twist, shared by every structure it twists, saves memory.
+    twists: dict[tuple[int, ...], Permutation] = {}
+    structures: list[HomGroup] = []
+    stats.group_tables += len(tables)
+    while tables:
+        # Popping frees each group table once twisted, for the structures to reuse.
+        autos, p, pinv, table = tables.pop()
+        inverses = tuple(row.index(0) for row in table)
+        for alpha in autos:
+            if alpha.is_identity and not cfg.include_groups:
                 continue
-            mark = len(trail)
-            if assign(i, j, v):
-                search(idx + 1)
-            undo(mark)
-
-    if all(assign(0, j, j) for j in range(n)) and all(assign(i, 0, i) for i in range(1, n)):
-        search(0)
-    return results
+            beta = tuple(p[alpha.images[i]] for i in pinv)  # p alpha p^-1
+            twisted = tuple(tuple(map(beta.__getitem__, row)) for row in table)
+            shared = twists.get(beta)
+            if shared is None:
+                shared = twists[beta] = Permutation(beta)
+            structures.append(HomGroup._from_verified(twisted, shared, 0, None, inverses))
+    structures.sort(key=lambda g: g.table.entries)
+    stats.automorphisms += sum(len(autos) for _, autos in pairs)
+    stats.structures += len(structures)
+    stats.search_s += built - start + relabeled - searched
+    stats.automorphisms_s += searched - built
+    stats.twist_s += time.perf_counter() - relabeled
+    return structures, pairs
 
 
 def enumerate_hom_groups(
@@ -219,37 +227,7 @@ def enumerate_hom_groups(
     include_groups is set.  Every labeled structure is returned; pass the
     list to reduce_to_classes for one representative per isomorphism class.
     """
-    if cfg.order > cfg.max_order_guard:
-        raise OrderGuardError(
-            f"order {cfg.order} exceeds guard {cfg.max_order_guard}; "
-            "raise max_order_guard explicitly to search this far"
-        )
-    stats = ClassifyStats() if stats is None else stats
-    start = time.perf_counter()
-    tables = _group_tables(cfg.order)
-    searched = time.perf_counter()
-    stats.group_tables += len(tables)
-    # One Permutation per distinct twist, shared by every structure it twists, saves memory.
-    twists: dict[tuple[int, ...], Permutation] = {}
-    structures: list[HomGroup] = []
-    automorphisms_s = 0.0
-    while tables:
-        # Popping frees each group table once twisted, for the structures to reuse.
-        group = FiniteGroup(tables.pop())
-        before = time.perf_counter()
-        autos = automorphisms_of(group)
-        automorphisms_s += time.perf_counter() - before
-        stats.automorphisms += len(autos)
-        for alpha in autos:
-            if alpha.is_identity and not cfg.include_groups:
-                continue
-            structures.append(twist(group, twists.setdefault(alpha.images, alpha)))
-    structures.sort(key=lambda g: g.table.entries)
-    stats.structures += len(structures)
-    stats.search_s += searched - start
-    stats.automorphisms_s += automorphisms_s
-    stats.twist_s += time.perf_counter() - searched - automorphisms_s
-    return structures
+    return _enumerate(cfg, ClassifyStats() if stats is None else stats)[0]
 
 
 def reduce_to_classes(
@@ -258,26 +236,22 @@ def reduce_to_classes(
     """One canonical representative per isomorphism class, sorted by table."""
     stats = ClassifyStats() if stats is None else stats
     start = time.perf_counter()
-    sizes: Counter[tuple] = Counter()
-    buckets: dict[tuple, list[tuple[HomGroup, tuple]]] = {}
-    calls = 0
-    for G in structures:
-        p = _profile(G)  # (generators, keys, signature)
-        sizes[p[2]] += 1
-        reps = buckets.setdefault(p[2], [])
-        for R, pr in reps:
-            calls += 1
-            if next(_isomorphisms(R, G, pr, p), None) is not None:
-                break
-        else:
-            reps.append((G, p))
-    classes = [canonical_form(R) for reps in buckets.values() for R, _ in reps]
+    classes = [canonical_form(R) for R in _distinct(structures, stats)]
     classes.sort(key=lambda g: g.table.entries)
-    stats.bucket_sizes += sorted(sizes.values(), reverse=True)
-    stats.isomorphism_calls += calls
     stats.canonical_form_calls += len(classes)
     stats.reduce_s += time.perf_counter() - start
     return classes
+
+
+def _conjugacy_representatives(autos: list[Permutation]) -> Iterator[Permutation]:
+    """One member of each conjugacy class of a group of permutations, the
+    first in the order given: the least for automorphisms_of's sorted list."""
+    seen: set[tuple[int, ...]] = set()
+    conjugators = [(s.images, s.inverse().images) for s in autos]
+    for a in autos:
+        if a.images not in seen:
+            yield a
+            seen.update(tuple(s[a.images[i]] for i in s_inv) for s, s_inv in conjugators)
 
 
 def relabel(G: HomGroup, p: PermLike) -> HomGroup:
@@ -304,20 +278,14 @@ def canonical_form(G: HomGroup) -> HomGroup:
     to index 0; idempotent, and two Hom-groups are isomorphic exactly
     when their canonical tables coincide.
     """
-    n = G.n
-    t = G.table.entries
-    others = [i for i in range(n) if i != G.unit]
-    best: Optional[tuple[int, ...]] = None
-    for rest in permutations(range(1, n)):
-        p = [0] * n
-        for src, dst in zip(others, rest):
-            p[src] = dst
-        pinv = [0] * n
-        for i, v in enumerate(p):
-            pinv[v] = i
-        flat = tuple(p[t[pinv[i]][pinv[j]]] for i in range(n) for j in range(n))
-        if best is None or flat < best:
-            best = flat
+    n, t = G.n, G.table.entries
+    others = [i for i in G.elements() if i != G.unit]
+    best = min(
+        tuple(p[t[a][b]] for a in order for b in order)
+        # order[k] is the old element that gets new label k, and p its inverse
+        for order in ((G.unit, *rest) for rest in permutations(others))
+        for p in [sorted(range(n), key=order.__getitem__)]
+    )
     rows = tuple(best[i * n : (i + 1) * n] for i in range(n))
     return HomGroup(rows, rows[0], unit=0)
 
@@ -357,10 +325,22 @@ def classify_order(
 ) -> ClassificationReport:
     """Every labeled structure at one order and one representative per class.
 
-    enumerate_hom_groups followed by reduce_to_classes; pass stats to
-    collect the counts and timings of both.
+    The structures are those of enumerate_hom_groups.  The classes come
+    from the groups alone: each group twisted by one automorphism per
+    conjugacy class, in canonical form and sorted by table, the same list
+    reduce_to_classes would give.  Pass stats to collect counts and timings.
     """
     cfg = SearchConfig(order=n, include_groups=include_groups, max_order_guard=max_order_guard)
-    structures = enumerate_hom_groups(cfg, stats)
-    classes = reduce_to_classes(structures, stats)
+    stats = ClassifyStats() if stats is None else stats
+    structures, pairs = _enumerate(cfg, stats)
+    start = time.perf_counter()
+    classes = [
+        canonical_form(twist(R, alpha))
+        for R, autos in pairs
+        for alpha in _conjugacy_representatives(autos)
+        if include_groups or not alpha.is_identity
+    ]
+    classes.sort(key=lambda g: g.table.entries)
+    stats.canonical_form_calls += len(classes)
+    stats.reduce_s += time.perf_counter() - start
     return ClassificationReport(n, include_groups, tuple(structures), tuple(classes))

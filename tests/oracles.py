@@ -225,20 +225,30 @@ def _quaternion_product(a, b):
     return (a[0] * b[0] * sign, unit)
 
 
-def _dihedral_product(a, b):
-    # (r, s) stands for rot^r flip^s, with flip rot = rot^-1 flip
-    return ((a[0] + (-1) ** a[1] * b[0]) % 4, (a[1] + b[1]) % 2)
+def _dihedral(k):
+    """D_k of order 2k on pairs (r, s), standing for rot^r flip^s, with
+    flip rot = rot^-1 flip."""
+    pairs = [(r, s) for r in range(k) for s in range(2)]
+    return _table_by_formula(
+        pairs, lambda a, b: ((a[0] + (-1) ** a[1] * b[0]) % k, (a[1] + b[1]) % 2)
+    )
 
 
 def groups_of_order(n):
-    """Every group of order 7 or 8 up to isomorphism, as a table with unit 0.
+    """Every group of order 4, 6, 7 or 8 up to isomorphism, as a table
+    with unit 0.
 
-    Order 7 is prime, so Z7 is the only group; order 8 has the three
-    abelian groups Z8, Z4 x Z2, Z2^3 and the two nonabelian ones D4, Q8.
-    Each table is checked to be a group by the axiom checker with the
-    identity twist."""
+    Order 4 has Z4 and Z2^2, and order 6 the cyclic Z6 and the
+    nonabelian D3.  Order 7 is prime, so Z7 is the only group; order 8
+    has the three abelian groups Z8, Z4 x Z2, Z2^3 and the two nonabelian
+    ones D4, Q8.  Each table is checked to be a group by the axiom checker
+    with the identity twist."""
     cyclic = lambda m: _table_by_formula(range(m), lambda a, b: (a + b) % m)
-    if n == 7:
+    if n == 4:
+        tables = [cyclic(4), _table_by_formula(range(4), lambda a, b: a ^ b)]
+    elif n == 6:
+        tables = [cyclic(6), _dihedral(3)]
+    elif n == 7:
         tables = [cyclic(7)]
     elif n == 8:
         pairs = [(a, b) for a in range(4) for b in range(2)]
@@ -247,7 +257,7 @@ def groups_of_order(n):
             cyclic(8),
             _table_by_formula(pairs, lambda a, b: ((a[0] + b[0]) % 4, (a[1] + b[1]) % 2)),
             _table_by_formula(range(8), lambda a, b: a ^ b),
-            _table_by_formula(pairs, _dihedral_product),
+            _dihedral(4),
             _table_by_formula(quaternions, _quaternion_product),
         ]
     else:
@@ -274,7 +284,7 @@ def conjugacy_class_count(perms):
 
 def hom_group_counts_by_automorphisms(n):
     """Labeled Hom-groups with unit 0 on n points and their classes, as
-    {include_groups: (labeled, classes)}, for n = 7 or 8.
+    {include_groups: (labeled, classes)}, for n = 4, 6, 7 or 8.
 
     A Hom-group is a group twisted by one of its automorphisms.  By
     orbit-stabilizer a group G has (n-1)!/|Aut G| labeled tables with

@@ -21,6 +21,7 @@ from homgroups import (
     twist,
     verify,
 )
+from homgroups.classify import ClassifyStats, _groups
 from homgroups.constructions import _profile
 from oracles import (
     automorphisms_by_filter,
@@ -111,8 +112,11 @@ class TestIsomorphism:
         _witness_ok(z3a, other, f)
 
     def test_self_isomorphism_is_identity(self, stock_fixture):
+        # are_isomorphic promises an isomorphism, not which one: from G to
+        # itself that is some automorphism, and the identity is among them.
         f = are_isomorphic(stock_fixture, stock_fixture)
-        assert f is not None and f.is_identity
+        _witness_ok(stock_fixture, stock_fixture, f)
+        assert Permutation.identity(stock_fixture.n) in automorphisms_of(stock_fixture)
 
     def test_symmetric_with_inverse_witness(self, z6a):
         p = Permutation((0, 3, 1, 4, 2, 5))
@@ -300,6 +304,12 @@ class TestClassifyOrder:
         with pytest.raises(OrderGuardError):
             classify_order(7)
 
+    @pytest.mark.parametrize("n", [60, 120])
+    def test_groups_past_the_solvable_bound_are_refused(self, n):
+        # A5 has order 60 and no normal subgroup of prime index.
+        with pytest.raises(ValueError, match="below order 60"):
+            classify_order(n, max_order_guard=n)
+
     def test_reduce_to_classes_drops_duplicates(self, z6a):
         moved = relabel(z6a, (0, 3, 1, 4, 2, 5))
         assert len(reduce_to_classes([z6a, moved])) == 1
@@ -347,8 +357,8 @@ class TestInvariant:
 
 
 class TestCountsPastOrderSix:
-    """Counts at orders 7 and 8, pinned against the (group, automorphism)
-    oracle, which lists the groups by formula and counts by
+    """Counts at orders 4, 6, 7 and 8, pinned against the (group,
+    automorphism) oracle, which lists the groups by formula and counts by
     orbit-stabilizer and conjugacy classes of automorphisms."""
 
     @pytest.mark.parametrize(
@@ -358,9 +368,41 @@ class TestCountsPastOrderSix:
             (7, False, (600, 5)),
             (8, True, (25200, 25)),
             (8, False, (22440, 20)),
+            (4, True, (12, 5)),
+            (4, False, (8, 3)),
+            (6, True, (240, 5)),
+            (6, False, (160, 3)),
         ],
     )
     def test_classify_order_matches_oracle(self, n, include_groups, counts):
         assert hom_group_counts_by_automorphisms(n)[include_groups] == counts
         report = classify_order(n, include_groups=include_groups, max_order_guard=n)
         assert (report.raw_count, report.class_count) == counts
+
+
+# OEIS A000001: the number of groups of order n, for n = 1..16.
+GROUP_COUNTS = (1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14)
+
+
+class TestGroupsByExtension:
+    """classify_order builds one group per isomorphism class by cyclic
+    extension and reads the classes off conjugacy classes of automorphisms."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_one_group_per_isomorphism_class(self, n):
+        groups = _groups(n, ClassifyStats())
+        assert len(groups) == GROUP_COUNTS[n - 1]
+        for i, G in enumerate(groups):
+            assert G.n == n and G.unit == 0 and G.alpha.is_identity
+            assert all(are_isomorphic(G, H) is None for H in groups[i + 1 :])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("include_groups", [False, True])
+    def test_classes_match_the_lexmin_oracle(self, n, include_groups):
+        report = classify_order(n, include_groups)
+        expected = lexmin_classes([(G.table.entries, G.unit) for G in report.structures])
+        assert [G.table.entries for G in report.representatives] == expected
+
+    def test_classes_match_the_reduction_at_order_seven(self):
+        report = classify_order(7, include_groups=True, max_order_guard=7)
+        assert list(report.representatives) == reduce_to_classes(list(report.structures))

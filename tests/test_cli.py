@@ -197,17 +197,29 @@ class TestClassifyCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         stats = json.loads(lines[0])
+        phases = ("search_s", "automorphisms_s", "twist_s", "reduce_s")
+        counts = ("group_tables", "automorphisms", "structures")
+        assert set(stats) == {*phases, *counts, "isomorphism_calls", "canonical_form_calls"}
+        # Z4 and Z2^2 have 3!/2 + 3!/6 labeled tables, and the automorphism
+        # searches run on those two groups only: |Aut Z4| + |Aut Z2^2|.
         assert stats["group_tables"] == 4
-        assert stats["automorphisms"] == stats["structures"] == 12
-        assert sum(stats["bucket_sizes"]) == 12
+        assert stats["automorphisms"] == 2 + 6
+        assert stats["structures"] == 12
         assert stats["canonical_form_calls"] == 5
-        assert stats["isomorphism_calls"] >= 12 - len(stats["bucket_sizes"])
-        assert all(stats[k] >= 0 for k in ("search_s", "automorphisms_s", "twist_s", "reduce_s"))
+        # The group dedupe: Z4 and Z2^2 differ in element orders, so no search runs.
+        assert stats["isomorphism_calls"] == 0
+        assert all(stats[k] >= 0 for k in phases)
 
     def test_guard_refused(self, capsys):
         code, out = run(capsys, "classify", "--order", "7")
         assert code == 2
         assert out.rstrip().splitlines()[-1] == "error: guard-refused"
+
+    def test_order_past_the_solvable_bound_is_a_domain_error(self, capsys):
+        # --force lifts the guard, but groups are built only below order 60.
+        code, out = run(capsys, "classify", "--order", "60", "--force")
+        assert code == 2
+        assert out.endswith("below order 60\nerror: domain-error\n")
 
     def test_emit_writes_loadable_documents(self, tmp_path, capsys):
         out_dir = tmp_path / "reps"
