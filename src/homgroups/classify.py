@@ -26,18 +26,22 @@ of prime index p and an element t outside N: it is a cyclic extension,
 the elements t^i x for 0 <= i < p and x in N, with t x t^-1 = phi(x) for
 some automorphism phi of N and t^p = a for some a in N.  The groups of
 order n are built from those of order n/p, for each prime p dividing n,
-by trying the table of every (phi, a): the tables that pass the group
-check are kept, one per isomorphism class.  From order 60 on, where A5
-has no such N, the builder refuses.
+from every (phi, a) with phi(a) = a and phi^p conjugation by a, the
+conditions under which the table is a group, one per isomorphism class.
+From order 60 on, where A5 has no such N, the builder refuses.
 
 A group R has (n-1)!/|Aut R| labeled tables with unit 0: its relabelings
-fixing 0, two of them equal exactly when they differ by an automorphism.
-Each is twisted by the relabeled automorphisms of R, so no labeled table
-needs an automorphism search of its own, and R gives (n-1)! structures.
-The classes come from R alone: R twisted by one automorphism from each
-conjugacy class, each put in canonical form.  A group twisted by an
-automorphism is a Hom-group by the converse above, so the twists are
-built without checking the axioms again.
+fixing 0, two of them equal exactly when they differ by an automorphism
+(orbit-stabilizer).  Each is twisted by the |Aut R| relabeled
+automorphisms of R, so R gives (n-1)! structures, (n-1)! - (n-1)!/|Aut R|
+of them twisted.  classify_order reads everything it reports off the
+pairs (R, Aut R): the labeled count by this formula, and the classes as
+R twisted by one automorphism from each conjugacy class, each put in
+canonical form.  Only enumerate_hom_groups builds the labeled structures;
+it twists each labeled table by the relabeled automorphisms of R, so no
+labeled table needs an automorphism search of its own.  A group twisted
+by an automorphism is a Hom-group by the converse above, so the twists
+are built without checking the axioms again.
 
 reduce_to_classes finds the classes of an arbitrary list of structures
 instead: it buckets them by the multiset of element keys (twist-cycle
@@ -52,10 +56,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 from typing import Iterable, Iterator, Optional
 
-from .constructions import _isomorphisms, _profile, automorphisms_of, twist
-from .core import FiniteGroup, HomGroup, InvalidStructureError, Permutation, PermLike, _as_perm
+from .constructions import _isomorphisms, _profile, automorphisms_of, inner_automorphism, twist
+from .core import FiniteGroup, HomGroup, Permutation, PermLike, _as_perm
 
 ORDER_GUARD = 6  # default largest order searched; callers raise it explicitly
 _SOLVABLE_BELOW = 60  # every group of smaller order is solvable; A5 has order 60
@@ -84,6 +89,11 @@ class ClassifyStats:
     groups; twist_s twisting the labeled tables; reduce_s the class
     representatives.  isomorphism_calls counts the searches that dedupe
     the groups built, or the structures given to reduce_to_classes.
+    classify_order builds no labeled table, so it leaves group_tables,
+    structures and twist_s alone; enumerate_hom_groups sets them.  Each
+    call builds the groups and their automorphisms afresh, so one stats
+    object passed to both, as the labeled listing of the classify command
+    does, counts that build twice.
     """
 
     def __init__(self) -> None:
@@ -121,12 +131,18 @@ def _extensions(N: FiniteGroup, p: int) -> Iterator[FiniteGroup]:
 
     Element t^i x has index i*|N| + x.  Since x t^j = t^j phi^-j(x), the
     product (t^i x)(t^j y) is t^(i+j) phi^-j(x) y, with t^p replaced by a.
-    A (phi, a) whose table fails the group check is skipped.
+    The table is a group exactly when t commutes with t^p, phi(a) = a, and
+    conjugation by t^p is conjugation by a, phi^p = inner(a); only those
+    (phi, a) are built, and FiniteGroup still checks each table.
     """
     m, t = N.n, N.table.entries
+    inner = [inner_automorphism(N, a) for a in range(m)]
     for phi in automorphisms_of(N):
         back = [phi.power(-j).images for j in range(p)]
+        phi_p = phi.power(p)
         for a in range(m):
+            if phi(a) != a or phi_p != inner[a]:
+                continue
             table = tuple(
                 tuple(
                     (i + j) % p * m + (t[a][t[back[j][x]][y]] if i + j >= p else t[back[j][x]][y])
@@ -136,10 +152,7 @@ def _extensions(N: FiniteGroup, p: int) -> Iterator[FiniteGroup]:
                 for i in range(p)
                 for x in range(m)
             )
-            try:
-                yield FiniteGroup(table)
-            except InvalidStructureError:
-                pass
+            yield FiniteGroup(table)
 
 
 def _groups(n: int, stats: ClassifyStats) -> list[FiniteGroup]:
@@ -174,11 +187,11 @@ def _relabelings(R: FiniteGroup) -> Iterator[tuple[tuple[int, ...], list[int], t
             yield p, pinv, table
 
 
-def _enumerate(
+def _group_pairs(
     cfg: SearchConfig, stats: ClassifyStats
-) -> tuple[list[HomGroup], list[tuple[FiniteGroup, list[Permutation]]]]:
-    """enumerate_hom_groups' structures, and the groups they come from,
-    one per isomorphism class, each with its automorphisms."""
+) -> list[tuple[FiniteGroup, list[Permutation]]]:
+    """One group of order cfg.order per isomorphism class, each with its
+    automorphisms, after checking the order guard."""
     if cfg.order > cfg.max_order_guard:
         raise OrderGuardError(
             f"order {cfg.order} exceeds guard {cfg.max_order_guard}; "
@@ -188,7 +201,25 @@ def _enumerate(
     groups = _groups(cfg.order, stats)
     built = time.perf_counter()
     pairs = [(R, automorphisms_of(R)) for R in groups]
-    searched = time.perf_counter()
+    stats.automorphisms += sum(len(autos) for _, autos in pairs)
+    stats.search_s += built - start
+    stats.automorphisms_s += time.perf_counter() - built
+    return pairs
+
+
+def enumerate_hom_groups(
+    cfg: SearchConfig, stats: Optional[ClassifyStats] = None
+) -> list[HomGroup]:
+    """All Hom-groups on {0..order-1} with unit 0, sorted by table.
+
+    Each group table with unit 0 is twisted by each of its automorphisms;
+    the identity twist, which leaves an ordinary group, is kept only when
+    include_groups is set.  Every labeled structure is returned; pass the
+    list to reduce_to_classes for one representative per isomorphism class.
+    """
+    stats = ClassifyStats() if stats is None else stats
+    pairs = _group_pairs(cfg, stats)
+    start = time.perf_counter()
     tables = [(autos, *labeled) for R, autos in pairs for labeled in _relabelings(R)]
     relabeled = time.perf_counter()
     # One Permutation per distinct twist, shared by every structure it twists, saves memory.
@@ -209,25 +240,10 @@ def _enumerate(
                 shared = twists[beta] = Permutation(beta)
             structures.append(HomGroup._from_verified(twisted, shared, 0, None, inverses))
     structures.sort(key=lambda g: g.table.entries)
-    stats.automorphisms += sum(len(autos) for _, autos in pairs)
     stats.structures += len(structures)
-    stats.search_s += built - start + relabeled - searched
-    stats.automorphisms_s += searched - built
+    stats.search_s += relabeled - start
     stats.twist_s += time.perf_counter() - relabeled
-    return structures, pairs
-
-
-def enumerate_hom_groups(
-    cfg: SearchConfig, stats: Optional[ClassifyStats] = None
-) -> list[HomGroup]:
-    """All Hom-groups on {0..order-1} with unit 0, sorted by table.
-
-    Each group table with unit 0 is twisted by each of its automorphisms;
-    the identity twist, which leaves an ordinary group, is kept only when
-    include_groups is set.  Every labeled structure is returned; pass the
-    list to reduce_to_classes for one representative per isomorphism class.
-    """
-    return _enumerate(cfg, ClassifyStats() if stats is None else stats)[0]
+    return structures
 
 
 def reduce_to_classes(
@@ -303,14 +319,17 @@ def are_isomorphic(G: HomGroup, H: HomGroup) -> Optional[Permutation]:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """What classify_order found at one order.
+
+    raw_count is the number of labeled structures that enumerate_hom_groups
+    lists, counted rather than listed; representatives holds one canonical
+    structure per isomorphism class, sorted by table.
+    """
+
     order: int
     include_groups: bool
-    structures: tuple[HomGroup, ...]
+    raw_count: int
     representatives: tuple[HomGroup, ...]
-
-    @property
-    def raw_count(self) -> int:
-        return len(self.structures)
 
     @property
     def class_count(self) -> int:
@@ -323,16 +342,19 @@ def classify_order(
     max_order_guard: int = ORDER_GUARD,
     stats: Optional[ClassifyStats] = None,
 ) -> ClassificationReport:
-    """Every labeled structure at one order and one representative per class.
+    """The number of labeled structures at one order and one representative
+    per class, read off the groups and their automorphisms.
 
-    The structures are those of enumerate_hom_groups.  The classes come
-    from the groups alone: each group twisted by one automorphism per
-    conjugacy class, in canonical form and sorted by table, the same list
-    reduce_to_classes would give.  Pass stats to collect counts and timings.
+    A group R gives (n-1)!/|Aut R| labeled tables, each twisted by every
+    automorphism but the identity unless include_groups is set; the count
+    matches len(enumerate_hom_groups(...)), which is never built here.  The
+    classes are each group twisted by one automorphism per conjugacy class,
+    in canonical form and sorted by table, the same list reduce_to_classes
+    would give.  Pass stats to collect counts and timings.
     """
     cfg = SearchConfig(order=n, include_groups=include_groups, max_order_guard=max_order_guard)
     stats = ClassifyStats() if stats is None else stats
-    structures, pairs = _enumerate(cfg, stats)
+    pairs = _group_pairs(cfg, stats)
     start = time.perf_counter()
     classes = [
         canonical_form(twist(R, alpha))
@@ -343,4 +365,5 @@ def classify_order(
     classes.sort(key=lambda g: g.table.entries)
     stats.canonical_form_calls += len(classes)
     stats.reduce_s += time.perf_counter() - start
-    return ClassificationReport(n, include_groups, tuple(structures), tuple(classes))
+    raw = sum(factorial(n - 1) // len(a) * (len(a) - (not include_groups)) for _, a in pairs)
+    return ClassificationReport(n, include_groups, raw, tuple(classes))

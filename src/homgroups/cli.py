@@ -207,12 +207,7 @@ def _load_group_operand(spec: str) -> HomGroup:
             k = int(num)
         except ValueError:
             raise CliFailure(f"bad group spec {spec!r}", TAG_DOMAIN)
-        try:
-            return (
-                _constructions.cyclic_group(k) if kind == "zn" else _constructions.dihedral_group(k)
-            )
-        except ValueError as exc:
-            raise CliFailure(str(exc), TAG_DOMAIN)
+        return _constructions.cyclic_group(k) if kind == "zn" else _constructions.dihedral_group(k)
     G = load_hom_group(spec)
     if not G.alpha.is_identity:
         raise CliFailure(
@@ -237,14 +232,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     guard = args.order if args.force else _classify.ORDER_GUARD
     stats = _classify.ClassifyStats()
-    try:
-        report = _classify.classify_order(args.order, args.include_groups, guard, stats)
-    except _classify.OrderGuardError as exc:
-        raise CliFailure(str(exc), TAG_GUARD)
-    except ValueError as exc:
-        raise CliFailure(str(exc), TAG_DOMAIN)
-    shown = report.representatives if args.up_to_iso else report.structures
-    kind = "class" if args.up_to_iso else "structure"
+    report = _classify.classify_order(args.order, args.include_groups, guard, stats)
+    if args.up_to_iso:
+        shown, kind = report.representatives, "class"
+    else:
+        cfg = _classify.SearchConfig(args.order, args.include_groups, guard)
+        shown, kind = _classify.enumerate_hom_groups(cfg, stats), "structure"
     print(f"order: {args.order}")
     print(f"include-groups: {'true' if args.include_groups else 'false'}")
     print(f"structures: {report.raw_count}")
@@ -277,15 +270,11 @@ def cmd_subgroups(args: argparse.Namespace) -> int:
 def cmd_cosets(args: argparse.Namespace) -> int:
     G = load_hom_group(args.path)
     H = _parse_subset(args.subgroup)
-    try:
-        if args.element is not None:
-            block = _subgroups.coset(G, H, args.element, args.side)
+    if args.element is not None:
+        print(format_subset(_subgroups.coset(G, H, args.element, args.side).members))
+    else:
+        for block in _subgroups.coset_partition(G, H, args.side):
             print(format_subset(block.members))
-        else:
-            for block in _subgroups.coset_partition(G, H, args.side):
-                print(format_subset(block.members))
-    except ValueError as exc:
-        raise CliFailure(str(exc), TAG_DOMAIN)
     return EXIT_OK
 
 
@@ -323,10 +312,7 @@ def cmd_twist(args: argparse.Namespace) -> int:
             print(",".join(str(v) for v in p.images))
         return EXIT_OK
     if args.conjugate is not None:
-        try:
-            alpha = _constructions.inner_automorphism(G, args.conjugate)
-        except ValueError as exc:
-            raise CliFailure(str(exc), TAG_DOMAIN)
+        alpha = _constructions.inner_automorphism(G, args.conjugate)
     else:
         alpha = _parse_perm_spec(args.auto, G.n)
     try:
@@ -447,9 +433,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(str(exc))
         print(f"error: {exc.tag}")
         return exc.code
-    except DocumentError as exc:
+    except ValueError as exc:
+        if isinstance(exc, DocumentError):
+            tag = TAG_PARSE
+        elif isinstance(exc, _classify.OrderGuardError):
+            tag = TAG_GUARD
+        else:
+            tag = TAG_DOMAIN
         print(str(exc))
-        print(f"error: {TAG_PARSE}")
+        print(f"error: {tag}")
         return EXIT_ERROR
 
 

@@ -378,6 +378,9 @@ class TestCountsPastOrderSix:
         assert hom_group_counts_by_automorphisms(n)[include_groups] == counts
         report = classify_order(n, include_groups=include_groups, max_order_guard=n)
         assert (report.raw_count, report.class_count) == counts
+        # The labeled count is a formula; the listing gives it a second route.
+        labeled = enumerate_hom_groups(SearchConfig(n, include_groups, n))
+        assert len(labeled) == report.raw_count
 
 
 # OEIS A000001: the number of groups of order n, for n = 1..16.
@@ -399,10 +402,12 @@ class TestGroupsByExtension:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("include_groups", [False, True])
     def test_classes_match_the_lexmin_oracle(self, n, include_groups):
+        structures = enumerate_hom_groups(SearchConfig(n, include_groups))
+        expected = lexmin_classes([(G.table.entries, G.unit) for G in structures])
         report = classify_order(n, include_groups)
-        expected = lexmin_classes([(G.table.entries, G.unit) for G in report.structures])
         assert [G.table.entries for G in report.representatives] == expected
 
     def test_classes_match_the_reduction_at_order_seven(self):
         report = classify_order(7, include_groups=True, max_order_guard=7)
-        assert list(report.representatives) == reduce_to_classes(list(report.structures))
+        structures = enumerate_hom_groups(SearchConfig(7, True, 7))
+        assert list(report.representatives) == reduce_to_classes(structures)

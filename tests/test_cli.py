@@ -183,6 +183,14 @@ class TestClassifyCommand:
         assert code == 0
         assert "structures: 0" in out
 
+    @pytest.mark.parametrize("flags", [(), ("--include-groups",)])
+    def test_structure_count_matches_the_listing(self, capsys, flags):
+        # The count is a formula, the listing is built: both must agree.
+        code, out = run(capsys, "classify", "--order", "4", *flags)
+        assert code == 0
+        listed = sum(line.startswith("structure ") for line in out.splitlines())
+        assert f"structures: {listed}\n" in out and listed == (12 if flags else 8)
+
     def test_deterministic(self, capsys):
         _, first = run(capsys, "classify", "--order", "4", "--up-to-iso")
         _, second = run(capsys, "classify", "--order", "4", "--up-to-iso")
@@ -200,11 +208,11 @@ class TestClassifyCommand:
         phases = ("search_s", "automorphisms_s", "twist_s", "reduce_s")
         counts = ("group_tables", "automorphisms", "structures")
         assert set(stats) == {*phases, *counts, "isomorphism_calls", "canonical_form_calls"}
-        # Z4 and Z2^2 have 3!/2 + 3!/6 labeled tables, and the automorphism
-        # searches run on those two groups only: |Aut Z4| + |Aut Z2^2|.
-        assert stats["group_tables"] == 4
+        # --up-to-iso reads the classes off the groups: no labeled table is
+        # built or twisted.  The automorphism searches run on Z4 and Z2^2 only.
+        assert stats["group_tables"] == stats["structures"] == 0
+        assert stats["twist_s"] == 0.0
         assert stats["automorphisms"] == 2 + 6
-        assert stats["structures"] == 12
         assert stats["canonical_form_calls"] == 5
         # The group dedupe: Z4 and Z2^2 differ in element orders, so no search runs.
         assert stats["isomorphism_calls"] == 0
@@ -257,6 +265,16 @@ class TestSubgroupsCommand:
         code, out = run(capsys, "subgroups", str(path))
         assert code == 2
         assert out.rstrip().splitlines()[-1] == "error: invalid-structure"
+
+    def test_unforeseen_library_value_error_is_a_domain_error(self, tmp_path, capsys, monkeypatch):
+        import homgroups.subgroups as subgroups
+
+        def fail(G):
+            raise ValueError("no such thing")
+
+        monkeypatch.setattr(subgroups, "enumerate_hom_subgroups", fail)
+        code, out = run(capsys, "subgroups", write_fixture(tmp_path, "z6a"))
+        assert (code, out) == (2, "no such thing\nerror: domain-error\n")
 
 
 class TestCosetsCommand:
