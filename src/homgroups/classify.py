@@ -60,7 +60,7 @@ from math import factorial
 from typing import Iterable, Iterator, Optional
 
 from .constructions import _isomorphisms, _profile, automorphisms_of, inner_automorphism, twist
-from .core import FiniteGroup, HomGroup, Permutation, PermLike, _as_perm
+from .core import FiniteGroup, HomGroup, Permutation, PermLike, _as_perm, _prime_divisors
 
 ORDER_GUARD = 6  # default largest order searched; callers raise it explicitly
 _SOLVABLE_BELOW = 60  # every group of smaller order is solvable; A5 has order 60
@@ -164,7 +164,7 @@ def _groups(n: int, stats: ClassifyStats) -> list[FiniteGroup]:
         )
     if n == 1:
         return [FiniteGroup(((0,),))]
-    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    primes = _prime_divisors(n)
     return _distinct(
         (G for p in primes for N in _groups(n // p, stats) for G in _extensions(N, p)), stats
     )

@@ -185,6 +185,11 @@ def _as_perm(p: PermLike) -> Permutation:
     return p if isinstance(p, Permutation) else Permutation(tuple(p))
 
 
+def _prime_divisors(n: int) -> list[int]:
+    """The primes dividing n, in increasing order."""
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
 def _multiplicativity_witness(
     t: Sequence[Sequence[int]], a: Sequence[int]
 ) -> Optional[tuple[int, int]]:

@@ -29,13 +29,52 @@ from .core import (
 from .subgroups import center, enumerate_hom_subgroups
 
 
-class FormalElement:
-    """Sparse integer combination of basis indices; zeros are not stored."""
+class _SparseSum:
+    """Sparse integer combination of basis keys; zeros are not stored.
+
+    Each subclass builds results of its own type with _like(coeffs), and
+    says with _matches which sums it can be added to or equal.
+    """
 
     __slots__ = ("coeffs",)
 
+    def _matches(self, other: "_SparseSum") -> bool:
+        return type(other) is type(self)
+
+    def scale(self, c: int) -> "_SparseSum":
+        return self._like({k: c * v for k, v in self.coeffs.items()})
+
+    def __add__(self, other: "_SparseSum") -> "_SparseSum":
+        if not isinstance(other, _SparseSum):
+            return NotImplemented
+        if not self._matches(other):
+            raise ValueError("rank mismatch")
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, 0) + v
+        return self._like(out)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _SparseSum):
+            return NotImplemented
+        return self._matches(other) and self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        return " + ".join(f"{v}*e{k}" for k, v in sorted(self.coeffs.items()))
+
+
+class FormalElement(_SparseSum):
+    """Sparse integer combination of basis indices; zeros are not stored."""
+
+    __slots__ = ()
+
     def __init__(self, coeffs: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
         self.coeffs = {k: v for k, v in dict(coeffs).items() if v != 0}
+
+    def _like(self, coeffs: dict) -> "FormalElement":
+        return FormalElement(coeffs)
 
     @classmethod
     def basis(cls, i: int) -> "FormalElement":
@@ -45,36 +84,17 @@ class FormalElement:
     def zero(cls) -> "FormalElement":
         return cls()
 
-    def scale(self, c: int) -> "FormalElement":
-        return FormalElement({k: c * v for k, v in self.coeffs.items()})
-
-    def __add__(self, other: "FormalElement") -> "FormalElement":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return FormalElement(out)
-
     def __sub__(self, other: "FormalElement") -> "FormalElement":
         return self + other.scale(-1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FormalElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
 
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{v}*e{k}" for k, v in sorted(self.coeffs.items()))
 
-
-class FormalTensor:
+class FormalTensor(_SparseSum):
     """Sparse integer combination of basis index tuples of a fixed rank."""
 
-    __slots__ = ("rank", "coeffs")
+    __slots__ = ("rank",)
 
     def __init__(
         self,
@@ -90,30 +110,15 @@ class FormalTensor:
                 cleaned[tuple(k)] = v
         self.coeffs = cleaned
 
+    def _like(self, coeffs: dict) -> "FormalTensor":
+        return FormalTensor(self.rank, coeffs)
+
+    def _matches(self, other: _SparseSum) -> bool:
+        return type(other) is FormalTensor and other.rank == self.rank
+
     @classmethod
     def basis(cls, key: tuple[int, ...]) -> "FormalTensor":
         return cls(len(key), {tuple(key): 1})
-
-    def __add__(self, other: "FormalTensor") -> "FormalTensor":
-        if other.rank != self.rank:
-            raise ValueError("rank mismatch")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return FormalTensor(self.rank, out)
-
-    def scale(self, c: int) -> "FormalTensor":
-        return FormalTensor(self.rank, {k: c * v for k, v in self.coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FormalTensor):
-            return NotImplemented
-        return self.rank == other.rank and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{v}*e{k}" for k, v in sorted(self.coeffs.items()))
 
 
 @dataclass(frozen=True)

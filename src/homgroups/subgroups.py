@@ -4,7 +4,9 @@ A Hom-subgroup is an alpha-invariant subgroup of the untwisted group
 g.h = alpha^-1(g*h), so it is generated by one element of each twist
 orbit it meets.  The subgroup list is built by cyclic extension: each
 subgroup found is extended by one such element at a time, with the
-generator walk core._closure.
+generator walk core._closure.  A Hom-subgroup of prime order is the
+closure of any of its non-unit elements, so cauchy_search takes one
+closure per twist orbit and builds no list.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .core import HomGroup, Side, _check_index, _closure
+from .core import HomGroup, Side, _check_index, _closure, _prime_divisors
 
 
 @dataclass(frozen=True)
@@ -282,30 +284,24 @@ class CauchyReport:
     entries: tuple[CauchyEntry, ...]
 
 
-def _prime_divisors(n: int) -> list[int]:
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
 def cauchy_search(G: HomGroup) -> CauchyReport:
-    """For each prime p dividing |G|, look for a Hom-subgroup of order p.
+    """For each prime p dividing |G|, the least Hom-subgroup of order p
+    by bitmask, or None when there is none.
 
-    Exhaustive over the subgroup list; reports a witness subset or a
-    definitive absence per prime.  Pure explorer: no claim is made beyond
-    what the search finds.
+    No subgroup lattice is built: the Hom-subgroups of prime order are
+    exactly the closures of single elements that have that size.  Let H
+    be a Hom-subgroup of order p and x a non-unit element of H.  Then
+    _closure(x), the least Hom-subgroup holding x, lies in H and has at
+    least two elements, and its size divides p by Lagrange, so it is H.
+    Conversely every closure is a Hom-subgroup, so a closure of size p is
+    one of order p.  A closure is twist-stable, so _closure(x) depends
+    only on the twist orbit of x, and one walk per orbit finds them all.
     """
-    subgroups = enumerate_hom_subgroups(G)
+    t = G.table.entries
+    closures = [SubsetHandle(G, _closure(t, G.unit, (c[0],))) for c in G.alpha.cycles()]
     entries = []
     for p in _prime_divisors(G.n):
-        witness = next((H for H in subgroups if len(H) == p), None)
+        sized = [H for H in closures if len(H) == p]
+        witness = min(sized, key=lambda H: H.bitmask, default=None)
         entries.append(CauchyEntry(prime=p, witness=witness))
     return CauchyReport(parent=G, entries=tuple(entries))

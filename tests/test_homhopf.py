@@ -87,6 +87,13 @@ class TestFormalElements:
         with pytest.raises(ValueError):
             FormalTensor(2, {(0, 1): 1}) + FormalTensor(3, {(0, 1, 2): 1})
 
+    @pytest.mark.parametrize("element_first", [True, False])
+    def test_element_and_tensor_do_not_add(self, element_first):
+        x, t = FormalElement.basis(1), FormalTensor.basis((1,))
+        with pytest.raises(ValueError, match="rank mismatch"):
+            (x + t) if element_first else (t + x)
+        assert x != t and t != x
+
     def test_tensor_equality(self):
         s = FormalTensor.basis((1, 1)) + FormalTensor.basis((2, 2))
         t = FormalTensor(2, {(2, 2): 1, (1, 1): 1})

@@ -425,6 +425,21 @@ class TestCentralizer:
             centralizer(z3a, bad)
 
 
+CAUCHY_PRODUCTS = ["zn:2*zn:4", "zn:2*zn:2*zn:2", "zn:2*zn:6", "zn:3*dn:3"]
+
+
+def _cauchy_pairs(G):
+    return [(e.prime, e.witness and frozenset(e.witness.members)) for e in cauchy_search(G).entries]
+
+
+def _least_of_each_prime_order(G, subgroups):
+    """(p, the least of the subgroups of order p by bitmask, or None) for
+    each prime p dividing |G|."""
+    primes = [p for p in range(2, G.n + 1) if G.n % p == 0 and all(p % q for q in range(2, p))]
+    ordered = _by_size_and_bitmask(subgroups)
+    return [(p, next((S for S in ordered if len(S) == p), None)) for p in primes]
+
+
 class TestCauchy:
     def test_z6a_witnesses(self, z6a):
         entries = cauchy_search(z6a).entries
@@ -447,6 +462,42 @@ class TestCauchy:
             for entry in cauchy_search(G).entries:
                 if entry.witness is not None:
                     assert len(entry.witness) == entry.prime
+
+    def test_every_small_structure_matches_subset_filter(self):
+        structures = 0
+        for n in range(1, 7):
+            for G in enumerate_hom_groups(SearchConfig(order=n, include_groups=True)):
+                structures += 1
+                expected = _least_of_each_prime_order(G, subgroups_by_subset_filter(G))
+                assert _cauchy_pairs(G) == expected
+        assert structures == 280
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_twists_match_untwisting(self, data):
+        # A zn or dn draw is one member of twists_of(kind, k), twisted
+        # alone: building every twist of each D_k up to k = 32 takes seconds.
+        source = data.draw(st.sampled_from(["zn", "dn", *CAUCHY_PRODUCTS]))
+        if source in ("zn", "dn"):
+            base = _group(f"{source}:{data.draw(st.integers(1, 32))}")
+            G = twist(base, data.draw(st.sampled_from(automorphisms_of(base))))
+        else:
+            G = data.draw(st.sampled_from(_twists(source)))
+        assert _cauchy_pairs(G) == _least_of_each_prime_order(G, hom_subgroups_by_untwisting(G))
+
+    def test_identity_twist_of_z2_to_the_sixth(self):
+        G = _group("*".join(["zn:2"] * 6))
+        entries = cauchy_search(G).entries
+        assert [(e.prime, e.witness.sorted_members()) for e in entries] == [(2, (0, 1))]
+
+    def test_builds_no_subgroup_lattice(self, z6a, monkeypatch):
+        import homgroups.subgroups as subgroups
+
+        def refuse(G):
+            raise AssertionError("the subgroup lattice was built")
+
+        monkeypatch.setattr(subgroups, "enumerate_hom_subgroups", refuse)
+        assert _cauchy_pairs(z6a) == [(2, {0, 3}), (3, {0, 2, 4})]
 
     def test_klein_twist_has_no_order_two_subgroup(self):
         # the explorer can come back empty: cycling the three involutions
