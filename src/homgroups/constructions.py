@@ -37,8 +37,8 @@ class NotAutomorphismError(ValueError):
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Additive cyclic group of order n on {0..n-1}."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"order must be an integer >= 1, got {n!r}")
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return FiniteGroup(table, unit=0, labels=[str(i) for i in range(n)])
 
@@ -56,8 +56,8 @@ def dihedral_group(n: int) -> FiniteGroup:
     Elements are ordered 1, r, r^2, ..., r^(n-1), s, rs, r^2 s, ... with
     the relations r^n = s^2 = 1 and s r = r^-1 s.
     """
-    if n < 1:
-        raise ValueError(f"rotation order must be >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"rotation order must be an integer >= 1, got {n!r}")
 
     def prod(a: int, b: int) -> int:
         i, e = a % n, a // n

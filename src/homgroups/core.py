@@ -76,6 +76,9 @@ class Permutation:
 
     def apply(self, i: int, k: int = 1) -> int:
         """Image of i under the k-th iterate; negative k walks the inverse."""
+        n = len(self.images)
+        if type(i) is not int or not 0 <= i < n:
+            raise ValueError(f"index {i!r} outside 0..{n - 1}")
         _check_exponent(k)
         cycle = [i]
         j = self.images[i]

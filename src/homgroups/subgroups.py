@@ -2,11 +2,12 @@
 
 A Hom-subgroup is an alpha-invariant subgroup of the untwisted group
 g.h = alpha^-1(g*h), so it is generated by one element of each twist
-orbit it meets.  The subgroup list is built by cyclic extension: each
-subgroup found is extended by one such element at a time, with the
-generator walk core._closure.  A Hom-subgroup of prime order is the
-closure of any of its non-unit elements, so cauchy_search takes one
-closure per twist orbit and builds no list.
+orbit it meets.  The subgroup list is built by cyclic extension with the
+generator walk core._closure: each subgroup is built once, from its
+greedy tuple of orbit-firsts, by extending its parent by one element.
+A Hom-subgroup of prime order is the closure of any of its non-unit
+elements, so cauchy_search takes one closure per twist orbit and builds
+no list.
 """
 
 from __future__ import annotations
@@ -118,30 +119,46 @@ def is_hom_subgroup(G: HomGroup, S: SubsetLike) -> bool:
 def enumerate_hom_subgroups(G: HomGroup) -> list[SubsetHandle]:
     """All Hom-subgroups, sorted by (size, bitmask).
 
-    Each subgroup is recorded with a tuple of generators.  Starting from
-    the trivial subgroup, each subgroup H found is extended by the first
-    element x of every non-unit twist orbit that H misses: the join of H
-    and x is _closure of H's generators and x, which costs O(|J|(k+1)) for
-    k generators instead of re-forming every product inside H.  Every
-    Hom-subgroup is reached, as a chain of such joins by the first
-    elements of the orbits it contains, so the search visits subgroups,
-    never the 2^orbits unions of orbits.
+    Let firsts be the least elements of the non-unit twist orbits, in
+    increasing order.  A Hom-subgroup is twist-stable, so it holds an orbit
+    exactly when it holds that orbit's first.  The greedy tuple of a
+    Hom-subgroup K lists, one at a time, the least orbit-first of K outside
+    the _closure of the entries before it, until that closure is K.
+
+    - It is increasing: each entry is the least orbit-first in a subset of
+      the set the entry before was least in, and that entry is not in the
+      subset, as the closure now holds it.
+    - Each prefix is the greedy tuple of its own closure C: C lies in K, so
+      each entry, the least orbit-first of K outside the closure before
+      it, is also the least of C outside that closure.
+
+    So each Hom-subgroup K is built once, from the record of its parent,
+    the closure of its tuple without the last entry.  A subgroup H is
+    recorded with its greedy tuple and the index in firsts just past that
+    tuple's last entry, and it is extended only by x = firsts[i] with i
+    from that index on and x not in H.  The join J = _closure(H's tuple and
+    x) is kept exactly when no orbit-first before x lies in J but not in H,
+    that is, when J's greedy tuple is H's tuple and x.  For if none does,
+    the entries of H's tuple lie below x, so each stays the least outside
+    its closure, and then x is the least outside H; and if one does, an
+    orbit-first below x comes next instead.  Every record thus holds its
+    subgroup's greedy tuple, each parent is extended by each x once, and K
+    is kept from its parent by its last entry, so the list is complete and
+    has no repeats.  A walk costs O(|J|(k+1)) for k generators, and the
+    search visits subgroups, never the 2^orbits unions of orbits.
     """
     t = G.table.entries
     unit = G.unit
     firsts = [c[0] for c in G.alpha.cycles() if unit not in c]
-    gens_of = {frozenset((unit,)): ()}
-    todo = list(gens_of)
-    while todo:
-        H = todo.pop()
-        for x in firsts:
+    found = [(frozenset((unit,)), (), 0)]
+    for H, gens, start in found:
+        for i in range(start, len(firsts)):
+            x = firsts[i]
             if x not in H:
-                gens = gens_of[H] + (x,)
-                J = _closure(t, unit, gens)
-                if J not in gens_of:
-                    gens_of[J] = gens
-                    todo.append(J)
-    handles = [SubsetHandle(G, members) for members in gens_of]
+                J = _closure(t, unit, (*gens, x))
+                if not any(y in J and y not in H for y in firsts[:i]):
+                    found.append((J, (*gens, x), i + 1))
+    handles = [SubsetHandle(G, H) for H, _, _ in found]
     handles.sort(key=lambda h: (len(h), h.bitmask))
     return handles
 

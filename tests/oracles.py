@@ -13,14 +13,17 @@ through and how the groups written down by formula are checked.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 from math import factorial, gcd
 
 from homgroups.core import verify
 
 
+@cache
 def all_latin_squares(n):
-    """Every n x n Latin square on symbols 0..n-1, row by row.
+    """Every n x n Latin square on symbols 0..n-1, row by row, as a tuple
+    built once per n.
 
     Each candidate row p is the bitmask with bit n*j + p[j] set for every
     column j, so a row clashes with the rows placed so far exactly when its
@@ -42,17 +45,22 @@ def all_latin_squares(n):
             rows.pop()
 
     extend(0)
-    return out
+    return tuple(out)
 
 
 def hom_groups_by_latin_filter(n):
     """All Hom-group tables with unit 0 found by filtering every Latin
     square through the axiom checker, twist taken from the unit row.
     Includes the identity-twist tables (ordinary groups); callers wanting
-    the twisted-only count drop squares whose first row is the identity."""
+    the twisted-only count drop squares whose first row is the identity.
+
+    A square is passed to the checker only when 0 is fixed by the twist
+    and column 0 equals row 0: with the twist read off row 0, those are the
+    unit axioms for unit 0, and the checker rejects every other square."""
     found = []
     for square in all_latin_squares(n):
-        if verify(square, square[0], 0).valid:
+        unit_laws = square[0][0] == 0 and all(row[0] == v for row, v in zip(square, square[0]))
+        if unit_laws and verify(square, square[0], 0).valid:
             found.append(square)
     return sorted(found)
 

@@ -37,6 +37,12 @@ class TestGroups:
         with pytest.raises(ValueError):
             cyclic_group(0)
 
+    @pytest.mark.parametrize("build", [cyclic_group, dihedral_group])
+    @pytest.mark.parametrize("order", [True, 2.0, "2"])
+    def test_rejects_order_that_is_not_an_int(self, build, order):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            build(order)
+
     def test_dihedral_relations(self):
         d4 = dihedral_group(4)
         r, s = 1, 4

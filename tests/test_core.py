@@ -66,6 +66,12 @@ class TestPermutation:
         q = p.power(k)
         assert all(p.apply(i, k) == q(i) for i in range(len(p)))
 
+    @pytest.mark.parametrize("i", [-3, -1, 3, True, 1.0, "1"])
+    def test_apply_rejects_bad_index(self, i):
+        # the cycle walk from a negative index would never come back to it
+        with pytest.raises(ValueError, match="outside 0..2"):
+            Permutation((1, 0, 2)).apply(i, 1)
+
     def test_cycles(self):
         p = Permutation((0, 2, 1, 4, 5, 3))
         assert p.cycles() == ((0,), (1, 2), (3, 4, 5))

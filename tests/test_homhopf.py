@@ -194,8 +194,8 @@ class TestVerifyHomHopf:
         assert seen == {"algebra-assoc", "algebra-unit", "antipode", "antipode-unit"}
 
     def test_matches_scan_oracle_up_to_order_6(self, corrupted_small_structures):
-        # algebra-assoc goes through Light's test whenever the twist is
-        # multiplicative, as it is for every table with the identity twist.
+        # algebra-assoc goes through Light's test, inside core.verify, on
+        # every table that passes the Hom-group checks made before it.
         for G, table, alpha, unit in corrupted_small_structures:
             A = dataclasses.replace(
                 build_group_hopf(G),
@@ -219,9 +219,22 @@ class TestVerifyHomHopf:
         expected = hopf_violations_by_scan(table, G.alpha.images, G.unit, G.inverses)
         assert list(verify_hom_hopf(A).violations) == expected
 
+    def test_algebra_laws_read_off_one_verify(self, monkeypatch):
+        # The twisted associativity and unit laws are the Hom-group axioms of
+        # the same table, so each check asks core.verify exactly once.
+        import homgroups.homhopf as homhopf
+
+        cases = _hopf_cases()
+        expected = [verify_hom_hopf(A) for A in cases]
+        calls = []
+        check = homhopf.verify
+        monkeypatch.setattr(homhopf, "verify", lambda *args: calls.append(args) or check(*args))
+        assert [verify_hom_hopf(A) for A in cases] == expected
+        assert len(calls) == len(cases)
+
     def test_unreached_unit_is_not_certified(self):
-        # With the identity twist the generators 1 and 2 pass Light's test
-        # and reach only {1, 2, 3}, a copy of Z3; the claimed unit 0 is
+        # With the identity twist the generators 1 and 2 would pass Light's
+        # test and reach only {1, 2, 3}, a copy of Z3; the claimed unit 0 is
         # outside that closure and breaks associativity, so the scan must run.
         table = ((0, 1, 2, 3), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
         A = dataclasses.replace(build_group_hopf(cyclic_group(4)), product=CayleyTable(table))
@@ -230,8 +243,8 @@ class TestVerifyHomHopf:
         assert list(report.violations) == hopf_violations_by_scan(table, A.alpha.images, 0, A.antipode)
 
     def test_order_three_tables_with_twisted_unit_lines(self, unit_framed_order3):
-        # algebra-unit holds on all of them, so Light's test runs on every
-        # table whose twist is multiplicative, Latin or not; the antipode is
+        # algebra-unit holds on all of them, Latin or not, and 36 of the
+        # non-Latin ones satisfy algebra-assoc all the same; the antipode is
         # each row's unit position, or the unit where the row has none.
         base = build_group_hopf(cyclic_group(3))
         non_latin_associative = 0

@@ -210,6 +210,7 @@ class TestClosureSearch:
             ("dn:32", _divisor_count(32) + _divisor_sum(32), 69),
             ("zn:2*zn:2*zn:2*zn:2", sum(_gaussian_binomial(4, k) for k in range(5)), 67),
             ("zn:2*zn:2*zn:2*zn:2*zn:2", sum(_gaussian_binomial(5, k) for k in range(6)), 374),
+            ("zn:2*zn:2*zn:2*zn:2*zn:2*zn:2", sum(_gaussian_binomial(6, k) for k in range(7)), 2825),
         ],
     )
     def test_identity_twist_counts(self, spec, closed_form, count):
