@@ -326,8 +326,6 @@ class ClassificationReport:
     structure per isomorphism class, sorted by table.
     """
 
-    order: int
-    include_groups: bool
     raw_count: int
     representatives: tuple[HomGroup, ...]
 
@@ -366,4 +364,4 @@ def classify_order(
     stats.canonical_form_calls += len(classes)
     stats.reduce_s += time.perf_counter() - start
     raw = sum(factorial(n - 1) // len(a) * (len(a) - (not include_groups)) for _, a in pairs)
-    return ClassificationReport(n, include_groups, raw, tuple(classes))
+    return ClassificationReport(raw, tuple(classes))

@@ -49,12 +49,11 @@ class DocumentError(ValueError):
 
 
 class CliFailure(Exception):
-    """Abort command with a message, tag, and exit code."""
+    """Abort command with a message and tag; the exit code is EXIT_ERROR."""
 
-    def __init__(self, message: str, tag: str, code: int = EXIT_ERROR):
+    def __init__(self, message: str, tag: str):
         super().__init__(message)
         self.tag = tag
-        self.code = code
 
 
 _DOCUMENT_KEYS = {"order", "unit", "alpha", "table", "labels"}
@@ -432,7 +431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliFailure as exc:
         print(str(exc))
         print(f"error: {exc.tag}")
-        return exc.code
+        return EXIT_ERROR
     except ValueError as exc:
         if isinstance(exc, DocumentError):
             tag = TAG_PARSE

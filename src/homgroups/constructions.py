@@ -9,7 +9,6 @@ that intertwines the twists, so the images of generators fix it.
 from __future__ import annotations
 
 import math
-import re
 from typing import Iterator
 
 from .core import (
@@ -294,14 +293,11 @@ def _hom_fixture(table: tuple[tuple[int, ...], ...], labels) -> HomGroup:
     return HomGroup(table, table[0], unit=0, labels=labels)
 
 
-_GROUP_PATTERN = re.compile(r"^group:(zn|dn)\((\d+)\)$")
-
-
 def fixture(name: str) -> HomGroup:
     """Stock structures by name.
 
-    Hom-groups: 'z3a' (order 3), 'z6a', 'd3a', 'z5a'.  Plain groups:
-    'group:zn(k)' and 'group:dn(k)'.
+    Hom-groups: 'z3a' (order 3), 'z6a', 'd3a', 'z5a'.  For plain groups
+    call cyclic_group or dihedral_group.
     """
     if name == "z3a":
         return _hom_fixture(_Z3A_TABLE, ("1", "a", "b"))
@@ -311,8 +307,4 @@ def fixture(name: str) -> HomGroup:
         return _hom_fixture(_Z5A_TABLE, tuple(str(i) for i in range(5)))
     if name == "d3a":
         return _hom_fixture(_D3A_TABLE, _D3A_LABELS)
-    m = _GROUP_PATTERN.match(name)
-    if m:
-        kind, k = m.group(1), int(m.group(2))
-        return cyclic_group(k) if kind == "zn" else dihedral_group(k)
     raise ValueError(f"unknown fixture name: {name!r}")

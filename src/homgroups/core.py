@@ -161,16 +161,15 @@ class AxiomReport:
     line with a repeated entry, the first position in it whose entry already
     occurred, and where that entry occurred before.  Later axioms are still
     checked after an earlier one fails, so a report names every broken
-    axiom, not just the first.
+    axiom, not just the first.  The structure is valid exactly when there
+    are no violations.
     """
 
-    valid: bool
     violations: tuple[tuple[str, tuple[int, ...]], ...]
 
-    @classmethod
-    def from_violations(cls, violations: Sequence[tuple[str, tuple[int, ...]]]) -> "AxiomReport":
-        vs = tuple(violations)
-        return cls(valid=not vs, violations=vs)
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
     def tags(self) -> tuple[str, ...]:
         return tuple(tag for tag, _ in self.violations)
@@ -381,7 +380,7 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
     if asym is not None:
         violations.append(("inverse-asymmetric", asym))
 
-    return AxiomReport.from_violations(violations)
+    return AxiomReport(tuple(violations))
 
 
 class HomGroup:

@@ -2,10 +2,12 @@
 
 The span of the carrier over an abstract field carries a product from the
 Cayley table, the diagonal coproduct, the constant-one counit, inversion
-as antipode, and the pair of twists (alpha, identity).  Every structure
-map sends basis elements to basis elements or basis tensors, so each Hopf
-identity holds as an identity of linear maps exactly when it holds on
-basis inputs; coefficients never leave the integers 0 and 1.
+as antipode, and the pair of twists (alpha, identity).  Only the data
+that varies is stored: the table, the unit, the antipode and alpha; the
+coproduct, counit and cotwist are the same for every table.  Every
+structure map sends basis elements to basis elements or basis tensors, so
+each Hopf identity holds as an identity of linear maps exactly when it
+holds on basis inputs; coefficients never leave the integers 0 and 1.
 
 verify_hom_hopf therefore checks the axioms on the Cayley table, the
 twist and the inversion map.  The twisted associativity and unit laws are
@@ -123,18 +125,22 @@ class GroupHopfAlgebra:
 
     Structure maps act on basis indices: the product via the Cayley
     table, the coproduct diagonally, the counit as the constant 1, the
-    antipode via the inversion table, with the algebra twist alpha and
-    the coalgebra twist fixed to the identity.
+    antipode via the inversion table.  The twist pair is (alpha, id): the
+    algebra twist alpha is stored, and the coalgebra twist is the
+    identity, so cotwist_of returns its argument.  A product or twist
+    given as plain sequences is converted, and bad data raises ValueError.
     """
 
-    base: HomGroup
     product: CayleyTable
     unit: int
     antipode: tuple[int, ...]
     alpha: Permutation
-    beta: Permutation
 
     def __post_init__(self):
+        if not isinstance(self.product, CayleyTable):
+            object.__setattr__(self, "product", CayleyTable(self.product))
+        if not isinstance(self.alpha, Permutation):
+            object.__setattr__(self, "alpha", Permutation(self.alpha))
         n = self.product.n
         object.__setattr__(self, "antipode", tuple(self.antipode))
         if len(self.antipode) != n:
@@ -142,10 +148,8 @@ class GroupHopfAlgebra:
         for i, v in enumerate(self.antipode):
             if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"antipode[{i}] = {v!r} outside 0..{n - 1}")
-        if len(self.alpha) != n or len(self.beta) != n:
+        if len(self.alpha) != n:
             raise ValueError("twist length mismatch")
-        if not self.beta.is_identity:
-            raise ValueError("coalgebra twist must be the identity")
         if type(self.unit) is not int or not 0 <= self.unit < n:
             raise ValueError(f"unit {self.unit!r} outside 0..{n - 1}")
 
@@ -194,19 +198,12 @@ class GroupHopfAlgebra:
         return FormalElement({self.alpha(i): c for i, c in x.coeffs.items()})
 
     def cotwist_of(self, x: FormalElement) -> FormalElement:
-        return FormalElement({self.beta(i): c for i, c in x.coeffs.items()})
+        return FormalElement(x.coeffs)
 
 
 def build_group_hopf(G: HomGroup) -> GroupHopfAlgebra:
     """Populate the structure maps of the span of G from its table."""
-    return GroupHopfAlgebra(
-        base=G,
-        product=G.table,
-        unit=G.unit,
-        antipode=G.inverses,
-        alpha=G.alpha,
-        beta=Permutation.identity(G.n),
-    )
+    return GroupHopfAlgebra(product=G.table, unit=G.unit, antipode=G.inverses, alpha=G.alpha)
 
 
 def verify_hom_hopf(A: GroupHopfAlgebra) -> AxiomReport:
@@ -234,8 +231,8 @@ def verify_hom_hopf(A: GroupHopfAlgebra) -> AxiomReport:
     coproduct-unit, counit-product, counit-unit, counit-twist and
     antipode-counit) hold for every table, twist and antipode, so they have
     no runtime check: the coproduct g -> g (x) g is diagonal and
-    multiplicative, the counit is constantly 1, and construction forces
-    the cotwist to be the identity.
+    multiplicative, the counit is constantly 1, and the cotwist is the
+    identity.
     """
     t = A.product.entries
     s = A.antipode
@@ -249,7 +246,7 @@ def verify_hom_hopf(A: GroupHopfAlgebra) -> AxiomReport:
         ("antipode", next(((g,) for g in range(A.n) if t[s[g]][g] != u or t[g][s[g]] != u), None)),
         ("antipode-unit", (u,) if s[u] != u else None),
     )
-    return AxiomReport.from_violations([(tag, hit) for tag, hit in witnesses if hit is not None])
+    return AxiomReport(tuple((tag, hit) for tag, hit in witnesses if hit is not None))
 
 
 def is_commutative(A: GroupHopfAlgebra) -> bool:

@@ -50,10 +50,7 @@ class SubsetHandle:
 
 @dataclass(frozen=True)
 class Coset:
-    parent: HomGroup
-    subgroup: SubsetHandle
     representative: int
-    side: Side
     members: frozenset[int]
 
     def sorted_members(self) -> tuple[int, ...]:
@@ -188,7 +185,7 @@ def _coset(G: HomGroup, sub: SubsetHandle, g: int, side: Side) -> Coset:
         result = frozenset(t[h][g] for h in members)
     if len(result) != len(members):
         raise AssertionError(f"coset size {len(result)} != subgroup size {len(members)}")
-    return Coset(parent=G, subgroup=sub, representative=g, side=side, members=result)
+    return Coset(representative=g, members=result)
 
 
 def coset(G: HomGroup, H: SubsetLike, g: int, side: Side = "left") -> Coset:
@@ -235,7 +232,6 @@ class LagrangeEntry:
 
 @dataclass(frozen=True)
 class LagrangeReport:
-    parent: HomGroup
     entries: tuple[LagrangeEntry, ...]
 
     @property
@@ -246,21 +242,18 @@ class LagrangeReport:
 def lagrange_check(G: HomGroup) -> LagrangeReport:
     """Divisibility and partition audit over every Hom-subgroup.
 
-    For each Hom-subgroup H: |H| must divide |G|, and the left and right
-    coset partitions must tile the carrier exactly with blocks of size
-    |H|.  Any failure raises, since it would be an implementation defect;
-    the report lists (|H|, |G|/|H|) per subgroup.
+    For each Hom-subgroup H the left and right coset partitions are
+    formed, and coset_partition checks that each tiles the carrier with
+    blocks of size |H|, so |H| divides |G|.  Any failure raises, since it
+    would be an implementation defect; the report lists (|H|, |G|/|H|)
+    per subgroup.
     """
     entries = []
     for H in enumerate_hom_subgroups(G):
-        if G.n % len(H) != 0:
-            raise AssertionError(f"|H| = {len(H)} does not divide |G| = {G.n}")
         for side in ("left", "right"):
-            for block in coset_partition(G, H, side):
-                if len(block) != len(H):
-                    raise AssertionError("coset size mismatch")
+            coset_partition(G, H, side)
         entries.append(LagrangeEntry(subgroup=H, order=len(H), index=G.n // len(H)))
-    return LagrangeReport(parent=G, entries=tuple(entries))
+    return LagrangeReport(tuple(entries))
 
 
 def center(G: HomGroup) -> SubsetHandle:
@@ -297,7 +290,6 @@ class CauchyEntry:
 
 @dataclass(frozen=True)
 class CauchyReport:
-    parent: HomGroup
     entries: tuple[CauchyEntry, ...]
 
 
@@ -321,4 +313,4 @@ def cauchy_search(G: HomGroup) -> CauchyReport:
         sized = [H for H in closures if len(H) == p]
         witness = min(sized, key=lambda H: H.bitmask, default=None)
         entries.append(CauchyEntry(prime=p, witness=witness))
-    return CauchyReport(parent=G, entries=tuple(entries))
+    return CauchyReport(tuple(entries))

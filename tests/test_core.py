@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from homgroups import core
 from homgroups import (
+    AxiomReport,
     CayleyTable,
     FiniteGroup,
     HomGroup,
@@ -106,6 +107,11 @@ class TestVerify:
         report = verify(stock_fixture.table, stock_fixture.alpha, stock_fixture.unit)
         assert report.valid
         assert report.violations == ()
+
+    def test_valid_is_read_off_violations(self):
+        assert AxiomReport(()).valid
+        assert not AxiomReport((("unit-fixed", (1,)),)).valid
+        assert "valid" not in repr(AxiomReport(()))
 
     def test_group_with_identity_twist_valid(self):
         z6 = cyclic_group(6)

@@ -117,16 +117,25 @@ class TestBuild:
         assert A.antipode == (0,)
         assert A.product_of(A.unit_element(), A.unit_element()) == A.unit_element()
 
-    def test_cotwist_must_be_identity(self, z3a):
-        with pytest.raises(ValueError, match="identity"):
-            GroupHopfAlgebra(
-                base=z3a,
-                product=z3a.table,
-                unit=0,
-                antipode=z3a.inverses,
-                alpha=z3a.alpha,
-                beta=Permutation((0, 2, 1)),
-            )
+    def test_cotwist_must_be_identity(self, d3a):
+        # the algebra twist of d3a is not the identity; the cotwist is
+        x = FormalElement({g: g - 2 for g in range(6)})
+        assert build_group_hopf(d3a).cotwist_of(x) == x
+
+    def test_plain_twist_is_converted(self, z3a):
+        A = dataclasses.replace(build_group_hopf(z3a), alpha=(0, 2, 1))
+        assert A.alpha == Permutation((0, 2, 1))
+        assert A.twist_of(FormalElement.basis(1)) == FormalElement.basis(2)
+        with pytest.raises(ValueError):
+            dataclasses.replace(A, alpha=(0, 2, 2))
+
+    def test_plain_table_is_converted(self, z3a):
+        rows = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
+        A = dataclasses.replace(build_group_hopf(z3a), product=rows)
+        assert A == build_group_hopf(z3a)
+        assert verify_hom_hopf(A).valid
+        with pytest.raises(ValueError):
+            dataclasses.replace(A, product=[[0, 2, 1], [2, 1, 0], [1, 0, 3]])
 
     @pytest.mark.parametrize(
         "field,value",
@@ -139,14 +148,7 @@ class TestBuild:
 
     def test_bad_antipode_length(self, z3a):
         with pytest.raises(ValueError):
-            GroupHopfAlgebra(
-                base=z3a,
-                product=z3a.table,
-                unit=0,
-                antipode=(0, 1),
-                alpha=z3a.alpha,
-                beta=Permutation.identity(3),
-            )
+            GroupHopfAlgebra(product=z3a.table, unit=0, antipode=(0, 1), alpha=z3a.alpha)
 
 
 class TestVerifyHomHopf:

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import cache
 from itertools import combinations
 
@@ -28,6 +29,7 @@ from homgroups import (
     subgroup_defect,
     twist,
 )
+from homgroups import subgroups
 from homgroups.core import _closure
 from oracles import closure_by_all_pairs, hom_subgroups_by_untwisting, subgroups_by_subset_filter
 
@@ -375,6 +377,18 @@ class TestLagrange:
         for G in _small_structures():
             for entry in lagrange_check(G).entries:
                 assert entry.order * entry.index == G.n
+
+    def test_short_coset_is_caught(self, monkeypatch, z6a):
+        # lagrange_check relies on coset_partition for every size check
+        make = subgroups._coset
+
+        def short(G, sub, g, side):
+            c = make(G, sub, g, side)
+            return dataclasses.replace(c, members=c.members - {min(c.members)})
+
+        monkeypatch.setattr(subgroups, "_coset", short)
+        with pytest.raises(AssertionError):
+            lagrange_check(z6a)
 
 
 class TestCenter:
