@@ -37,11 +37,14 @@ automorphisms of R, so R gives (n-1)! structures, (n-1)! - (n-1)!/|Aut R|
 of them twisted.  classify_order reads everything it reports off the
 pairs (R, Aut R): the labeled count by this formula, and the classes as
 R twisted by one automorphism from each conjugacy class, each put in
-canonical form.  Only enumerate_hom_groups builds the labeled structures;
-it twists each labeled table by the relabeled automorphisms of R, so no
-labeled table needs an automorphism search of its own.  A group twisted
-by an automorphism is a Hom-group by the converse above, so the twists
-are built without checking the axioms again.
+canonical form.  Only enumerate_hom_groups builds the labeled structures.
+It builds each labeled table once, from the lex-least relabeling in its
+orbit under Aut R, which a walk down the pointwise stabilizers in Aut R
+finds without building the other relabelings.  It twists each table by
+the relabeled automorphisms of R, so no labeled table needs an
+automorphism search of its own, and the structures share equal rows.  A
+group twisted by an automorphism is a Hom-group by the converse above, so
+the twists are built without checking the axioms again.
 
 reduce_to_classes finds the classes of an arbitrary list of structures
 instead: it buckets them by the multiset of element keys (twist-cycle
@@ -55,8 +58,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .constructions import _isomorphisms, _profile, automorphisms_of, inner_automorphism, twist
@@ -170,21 +174,34 @@ def _groups(n: int, stats: ClassifyStats) -> list[FiniteGroup]:
     )
 
 
-def _relabelings(R: FiniteGroup) -> Iterator[tuple[tuple[int, ...], list[int], tuple]]:
-    """Each distinct relabeling of R that fixes 0 once, as (p, p^-1, table).
+def _relabelings(
+    R: FiniteGroup, autos: list[Permutation]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple]]:
+    """Each distinct relabeling of R that fixes 0 once, as (p, o, table).
 
-    Relabeling by p sends old i to new p(i); p and p composed with an
-    automorphism of R give the same table, so (n-1)!/|Aut R| are distinct.
+    Relabeling by p sends old i to new p(i); o = p^-1 lists the old element
+    that gets each new label.  The orderings o and a o give the same table
+    exactly when a is an automorphism, so there are (n-1)!/|Aut R| tables,
+    one per orbit of Aut R on the orderings.  The walk builds only the
+    lex-least ordering of each orbit: it fills o position by position and
+    accepts o_k only when no automorphism fixing o_0..o_(k-1) maps it lower.
+    An a with a o < o fixes every position before the first one it changes
+    and lowers that one, so exactly the least ordering of an orbit passes
+    every test; and the least free element always passes, so no branch is a
+    dead end.
     """
-    t = R.table.entries
-    seen = set()
-    for rest in permutations(range(1, R.n)):
-        p = (0, *rest)
-        pinv = sorted(range(R.n), key=p.__getitem__)
-        table = tuple(tuple(p[t[i][j]] for j in pinv) for i in pinv)
-        if table not in seen:
-            seen.add(table)
-            yield p, pinv, table
+    n, t = R.n, R.table.entries
+
+    def walk(o: tuple[int, ...], free: tuple[int, ...], stabilizer: list[tuple[int, ...]]):
+        if not free:
+            p = tuple(sorted(range(n), key=o.__getitem__))
+            yield p, o, tuple(tuple(p[t[i][j]] for j in o) for i in o)
+        for x in free:
+            if all(a[x] >= x for a in stabilizer):
+                rest = tuple(y for y in free if y != x)
+                yield from walk((*o, x), rest, [a for a in stabilizer if a[x] == x])
+
+    return walk((0,), tuple(range(1, n)), [a.images for a in autos])
 
 
 def _group_pairs(
@@ -212,33 +229,50 @@ def enumerate_hom_groups(
 ) -> list[HomGroup]:
     """All Hom-groups on {0..order-1} with unit 0, sorted by table.
 
-    Each group table with unit 0 is twisted by each of its automorphisms;
-    the identity twist, which leaves an ordinary group, is kept only when
-    include_groups is set.  Every labeled structure is returned; pass the
+    Each labeled group table with unit 0, built once by _relabelings, is
+    twisted by each of its automorphisms; the identity twist, which leaves
+    an ordinary group, is kept only when include_groups is set.  Equal rows
+    are one tuple and equal twists one Permutation, shared by every
+    structure holding them.  Every labeled structure is returned; pass the
     list to reduce_to_classes for one representative per isomorphism class.
     """
     stats = ClassifyStats() if stats is None else stats
     pairs = _group_pairs(cfg, stats)
     start = time.perf_counter()
-    tables = [(autos, *labeled) for R, autos in pairs for labeled in _relabelings(R)]
+    # Per group: p -> p alpha, for each twist alpha kept, and the relabelings.
+    labeled = [
+        (
+            [itemgetter(*a.images, 0) for a in autos if cfg.include_groups or not a.is_identity],
+            list(_relabelings(R, autos)),
+        )
+        for R, autos in pairs
+    ]
     relabeled = time.perf_counter()
-    # One Permutation per distinct twist, shared by every structure it twists, saves memory.
+    n = cfg.order
+    # itemgetter returns a bare item, not a 1-tuple, for a single index.  So
+    # each gather below takes the unit 0 as one index more, which the next
+    # gather never reads, and rows_of cuts beta, which is row 0, before the
+    # rows: every getter has two indices or more, at order 1 too.
+    rows_of = itemgetter(*(slice(k, k + n) for k in (0, *range(0, n * n, n))))
+    # One tuple per distinct row or twist, shared by every structure holding it.
+    rows_seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     twists: dict[tuple[int, ...], Permutation] = {}
     structures: list[HomGroup] = []
-    stats.group_tables += len(tables)
-    while tables:
-        # Popping frees each group table once twisted, for the structures to reuse.
-        autos, p, pinv, table = tables.pop()
-        inverses = tuple(row.index(0) for row in table)
-        for alpha in autos:
-            if alpha.is_identity and not cfg.include_groups:
-                continue
-            beta = tuple(p[alpha.images[i]] for i in pinv)  # p alpha p^-1
-            twisted = tuple(tuple(map(beta.__getitem__, row)) for row in table)
-            shared = twists.get(beta)
-            if shared is None:
-                shared = twists[beta] = Permutation(beta)
-            structures.append(HomGroup._from_verified(twisted, shared, 0, None, inverses))
+    for p_alpha_of, relabelings in labeled:
+        stats.group_tables += len(relabelings)
+        for p, o, table in relabelings:
+            beta_of = itemgetter(*o, 0)  # p alpha -> p alpha p^-1
+            twisted_of = itemgetter(*chain.from_iterable(table), 0)  # beta -> beta(table)
+            inverses = tuple(row.index(0) for row in table)
+            for p_alpha in p_alpha_of:
+                rs = rows_of(twisted_of(beta_of(p_alpha(p))))
+                shared = tuple(map(rows_seen.setdefault, rs, rs))
+                twist_perm = twists.get(shared[0])
+                if twist_perm is None:
+                    twist_perm = twists[shared[0]] = Permutation(shared[0])
+                structures.append(
+                    HomGroup._from_verified(shared[1:], twist_perm, 0, None, inverses)
+                )
     structures.sort(key=lambda g: g.table.entries)
     stats.structures += len(structures)
     stats.search_s += relabeled - start

@@ -562,7 +562,6 @@ def left_power(G: HomGroup, x: int, m: int) -> int:
 
 
 class PowerOrbit(NamedTuple):
-    preperiod: int
     period: int
     orbit: tuple[int, ...]
 
@@ -572,7 +571,7 @@ def power_orbit(G: HomGroup, x: int, side: Side = "right") -> PowerOrbit:
 
     Multiplying by x permutes the carrier of a Latin square, so the powers
     x, x^2, x^3, ... run round one cycle back to x: the walk stops there and
-    returns the preperiod (always 0), the period, and the powers in order.
+    returns the period and the powers in order.
     """
     _check_index(G, x)
     if side not in ("left", "right"):
@@ -584,11 +583,11 @@ def power_orbit(G: HomGroup, x: int, side: Side = "right") -> PowerOrbit:
     while cur != x:
         seq.append(cur)
         cur = line[cur]
-    return PowerOrbit(preperiod=0, period=len(seq), orbit=tuple(seq))
+    return PowerOrbit(period=len(seq), orbit=tuple(seq))
 
 
 def _nth_power(powers: PowerOrbit, m: int) -> int:
-    """x^m: index m-1 of the orbit modulo the period, as the preperiod is 0."""
+    """x^m: index m-1 of the orbit modulo the period, as the powers cycle back to x."""
     _check_exponent(m)
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")

@@ -314,6 +314,35 @@ def hom_group_counts_by_automorphisms(n):
     }
 
 
+def labeled_hom_groups_by_relabeling(n, include_groups):
+    """Every labeled Hom-group with unit 0 at order n = 4, 6, 7 or 8, as
+    sorted (table, twist) pairs.
+
+    Each group table of groups_of_order is relabeled by every bijection p
+    fixing 0, each distinct relabeled table kept once, and each is
+    twisted by p a p^-1 for every automorphism a of the group; the identity
+    twist, which leaves the group itself, only when include_groups is set."""
+    identity = tuple(range(n))
+    found = []
+    for t in groups_of_order(n):
+        autos = automorphisms_by_filter(t)
+        relabeled = {}
+        for rest in permutations(range(1, n)):
+            p = (0, *rest)
+            # inv[k] is the old element that gets new label k
+            inv = [0] * n
+            for old, new in enumerate(p):
+                inv[new] = old
+            table = tuple(tuple(p[t[inv[a]][inv[b]]] for b in range(n)) for a in range(n))
+            relabeled.setdefault(table, (p, inv))
+        for table, (p, inv) in relabeled.items():
+            for a in autos:
+                beta = tuple(p[a[inv[k]]] for k in range(n))
+                if include_groups or beta != identity:
+                    found.append((tuple(tuple(beta[v] for v in row) for row in table), beta))
+    return sorted(found)
+
+
 def lexmin_classes(structures):
     """Sorted distinct lex-minimal tables of (table, unit) pairs, minimizing
     the flattened table over every relabeling that sends the unit to 0."""

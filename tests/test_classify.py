@@ -1,4 +1,6 @@
+import hashlib
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from homgroups import (
     twist,
     verify,
 )
-from homgroups.classify import ClassifyStats, _groups
+from homgroups.classify import ClassifyStats, _groups, _relabelings
 from homgroups.constructions import _profile
 from oracles import (
     automorphisms_by_filter,
@@ -31,6 +33,7 @@ from oracles import (
     hom_group_counts_by_automorphisms,
     hom_groups_by_latin_filter,
     isomorphisms_by_filter,
+    labeled_hom_groups_by_relabeling,
     lexmin_classes,
 )
 
@@ -103,6 +106,49 @@ class TestEnumerate:
     def test_order_must_be_an_int(self, order):
         with pytest.raises(ValueError):
             SearchConfig(order=order)
+
+
+
+def _table_twist_pairs(structures):
+    return [(G.table.entries, G.alpha.images) for G in structures]
+
+
+# sha256 of repr(_table_twist_pairs(...)) of the order-8 listing, which
+# labeled_hom_groups_by_relabeling(8, include_groups) also gives (1-2 s).
+ORDER_8_DIGESTS = {
+    False: "17f868ba786f6ae59a43040a53e3415ff0cc7704d15f66fc8d85c063310fb4d3",
+    True: "384a0ec1b7ae90ab1f7878166fea3deb5f2e5afc62f0b775f646f6a096ed6659",
+}
+
+
+class TestLabeledListing:
+    """enumerate_hom_groups against relabeling every group by brute force."""
+
+    @pytest.mark.parametrize("n", [4, 6, 7])
+    @pytest.mark.parametrize("include_groups", [False, True])
+    def test_matches_the_relabeling_oracle(self, n, include_groups):
+        found = enumerate_hom_groups(SearchConfig(n, include_groups, n))
+        assert _table_twist_pairs(found) == labeled_hom_groups_by_relabeling(n, include_groups)
+
+    @pytest.mark.parametrize("include_groups", [False, True])
+    def test_order_eight_digest(self, include_groups):
+        found = enumerate_hom_groups(SearchConfig(8, include_groups, 8))
+        digest = hashlib.sha256(repr(_table_twist_pairs(found)).encode()).hexdigest()
+        assert digest == ORDER_8_DIGESTS[include_groups]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_table_per_orbit_of_the_automorphisms(self, n):
+        for R in _groups(n, ClassifyStats()):
+            autos = automorphisms_of(R)
+            tables = [table for _, _, table in _relabelings(R, autos)]
+            assert len(tables) == len(set(tables)) == factorial(n - 1) // len(autos)
+
+    def test_structures_share_equal_rows(self):
+        found = enumerate_hom_groups(SearchConfig(6, include_groups=True))
+        rows = [row for G in found for row in G.table.entries]
+        assert len({id(row) for row in rows}) == len(set(rows))
+        twists = [G.alpha for G in found]
+        assert len({id(alpha) for alpha in twists}) == len({a.images for a in twists})
 
 
 class TestIsomorphism:

@@ -218,6 +218,26 @@ class TestClassifyCommand:
         assert stats["isomorphism_calls"] == 0
         assert all(stats[k] >= 0 for k in phases)
 
+    def test_stats_line_of_the_labeled_listing(self, capsys):
+        _, plain = run(capsys, "classify", "--order", "4", "--include-groups")
+        code = main(["classify", "--order", "4", "--include-groups", "--stats"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == plain
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        stats = json.loads(lines[0])
+        # Z4 has 3!/2 = 3 labeled tables and Z2^2 has 3!/6 = 1; each is
+        # twisted by its 2 or 6 automorphisms, 3*2 + 1*6 = 12 structures.
+        assert stats["group_tables"] == 4
+        assert stats["structures"] == 12
+        # classify_order and the listing each build the groups and their
+        # automorphisms, so the 2 + 6 automorphisms are counted twice.
+        assert stats["automorphisms"] == 2 * (2 + 6)
+        assert stats["canonical_form_calls"] == 5
+        assert stats["isomorphism_calls"] == 0
+        assert all(stats[k] >= 0 for k in ("search_s", "automorphisms_s", "twist_s", "reduce_s"))
+
     def test_guard_refused(self, capsys):
         code, out = run(capsys, "classify", "--order", "7")
         assert code == 2

@@ -496,15 +496,15 @@ def _twists_of(kind, k):
 
 class TestPowerOrbit:
     def test_fixed_point(self, z3a):
-        assert power_orbit(z3a, 2, "right") == (0, 1, (2,))
+        assert power_orbit(z3a, 2, "right") == (1, (2,))
 
     def test_unit_orbit(self, stock_fixture):
         u = stock_fixture.unit
-        assert power_orbit(stock_fixture, u, "right") == (0, 1, (u,))
-        assert power_orbit(stock_fixture, u, "left") == (0, 1, (u,))
+        assert power_orbit(stock_fixture, u, "right") == (1, (u,))
+        assert power_orbit(stock_fixture, u, "left") == (1, (u,))
 
     def test_z6a_orbit_matches_iteration(self, z6a):
-        assert power_orbit(z6a, 1, "right") == (0, 2, (1, 4))
+        assert power_orbit(z6a, 1, "right") == (2, (1, 4))
 
     def test_always_periodic(self):
         for G in _all_structures_up_to(4):
@@ -512,19 +512,23 @@ class TestPowerOrbit:
                 for side in ("left", "right"):
                     orbit = power_orbit(G, x, side)
                     assert orbit.period >= 1
-                    assert orbit.preperiod + orbit.period == len(orbit.orbit)
+                    assert orbit.period == len(orbit.orbit)
 
     def test_bad_side(self, z3a):
         with pytest.raises(ValueError):
             power_orbit(z3a, 0, "up")
 
     def test_powers_run_round_one_cycle(self):
-        # Multiplying by x permutes the carrier, so no power orbit has a preperiod;
-        # right_power and left_power rely on it.
+        # Multiplying by x permutes the carrier, so the powers start at x and
+        # the next one after the last is x again; right_power and left_power rely on it.
         for G in _all_structures_up_to(6):
+            t = G.table.entries
             for x in range(G.n):
                 for side in ("left", "right"):
-                    assert power_orbit(G, x, side).preperiod == 0
+                    orbit = power_orbit(G, x, side).orbit
+                    last = orbit[-1]
+                    assert orbit[0] == x
+                    assert (t[last][x] if side == "right" else t[x][last]) == x
 
 
 class TestStructuralLemmas:

@@ -208,6 +208,8 @@ def commands() -> list[list[str]]:
         ["classify", "--order", "4", "--stats"],
         ["classify", "--order", "3", "--include-groups", "--emit", "emitted"],
         ["classify", "--order", "7", "--up-to-iso", "--force"],
+        ["classify", "--order", "7", "--force"],
+        ["classify", "--order", "7", "--include-groups", "--force"],
         ["classify", "--order", "7"],
         ["classify", "--order", "0"],
     ]
