@@ -46,6 +46,11 @@ automorphism search of its own, and the structures share equal rows.  A
 group twisted by an automorphism is a Hom-group by the converse above, so
 the twists are built without checking the axioms again.
 
+canonical_form runs the same walk on any Hom-group, over its own
+automorphisms and from its unit.  Orderings that differ by an
+automorphism give equal tables, so the least table over the one ordering
+per orbit that the walk builds is the least over all (n-1)! of them.
+
 reduce_to_classes finds the classes of an arbitrary list of structures
 instead: it buckets them by the multiset of element keys (twist-cycle
 length, order in the untwisted group), which every isomorphism preserves,
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import chain
 from math import factorial
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -91,8 +96,10 @@ class ClassifyStats:
     search_s is building the groups, one per isomorphism class, and their
     labeled tables; automorphisms_s the automorphism searches on those
     groups; twist_s twisting the labeled tables; reduce_s the class
-    representatives.  isomorphism_calls counts the searches that dedupe
-    the groups built, or the structures given to reduce_to_classes.
+    representatives, with the automorphism search that each canonical
+    form runs on its structure, which automorphisms does not count.
+    isomorphism_calls counts the searches that dedupe the groups built,
+    or the structures given to reduce_to_classes.
     classify_order builds no labeled table, so it leaves group_tables,
     structures and twist_s alone; enumerate_hom_groups sets them.  Each
     call builds the groups and their automorphisms afresh, so one stats
@@ -175,22 +182,30 @@ def _groups(n: int, stats: ClassifyStats) -> list[FiniteGroup]:
 
 
 def _relabelings(
-    R: FiniteGroup, autos: list[Permutation]
+    G: HomGroup, autos: list[Permutation]
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple]]:
-    """Each distinct relabeling of R that fixes 0 once, as (p, o, table).
+    """Each distinct relabeling of G that sends its unit to 0 once, as
+    (p, o, table).
 
     Relabeling by p sends old i to new p(i); o = p^-1 lists the old element
-    that gets each new label.  The orderings o and a o give the same table
-    exactly when a is an automorphism, so there are (n-1)!/|Aut R| tables,
-    one per orbit of Aut R on the orderings.  The walk builds only the
-    lex-least ordering of each orbit: it fills o position by position and
-    accepts o_k only when no automorphism fixing o_0..o_(k-1) maps it lower.
-    An a with a o < o fixes every position before the first one it changes
-    and lowers that one, so exactly the least ordering of an orbit passes
-    every test; and the least free element always passes, so no branch is a
-    dead end.
+    that gets each new label, so o starts at the unit.  The table of o has
+    entry p(o_k * o_l) at (k, l).  For an automorphism a of G, which fixes
+    the unit, the ordering a o gets the relabeling p a^-1, so its entry at
+    (k, l) is p a^-1(a(o_k) * a(o_l)) = p(o_k * o_l): the same table.
+    Conversely, if o and o' give the same table, a = o' o^-1 fixes the
+    unit and is multiplicative, and it commutes with the twist, since
+    alpha(x) = unit * x.  So the tables are one per orbit of Aut G on the
+    orderings, (n-1)!/|Aut G| of them, for every Hom-group and not only
+    for groups.
+
+    The walk builds only the lex-least ordering of each orbit: it fills o
+    position by position and accepts o_k only when no automorphism fixing
+    o_0..o_(k-1) maps it lower.  An a with a o < o fixes every position
+    before the first one it changes and lowers that one, so exactly the
+    least ordering of an orbit passes every test; and the least free
+    element always passes, so no branch is a dead end.
     """
-    n, t = R.n, R.table.entries
+    n, t, unit = G.n, G.table.entries, G.unit
 
     def walk(o: tuple[int, ...], free: tuple[int, ...], stabilizer: list[tuple[int, ...]]):
         if not free:
@@ -201,7 +216,8 @@ def _relabelings(
                 rest = tuple(y for y in free if y != x)
                 yield from walk((*o, x), rest, [a for a in stabilizer if a[x] == x])
 
-    return walk((0,), tuple(range(1, n)), [a.images for a in autos])
+    others = tuple(x for x in range(n) if x != unit)
+    return walk((unit,), others, [a.images for a in autos])
 
 
 def _group_pairs(
@@ -324,19 +340,13 @@ def relabel(G: HomGroup, p: PermLike) -> HomGroup:
 def canonical_form(G: HomGroup) -> HomGroup:
     """Lexicographically minimal relabeling with the unit moved to 0.
 
-    Minimizes the flattened table over every bijection sending the unit
-    to index 0; idempotent, and two Hom-groups are isomorphic exactly
-    when their canonical tables coincide.
+    Minimizes the table, row by row, over every bijection sending the unit
+    to index 0.  Orderings that differ by an automorphism of G give the
+    same table, so the minimum is taken over the one ordering per orbit
+    that _relabelings builds.  Idempotent, and two Hom-groups are
+    isomorphic exactly when their canonical tables coincide.
     """
-    n, t = G.n, G.table.entries
-    others = [i for i in G.elements() if i != G.unit]
-    best = min(
-        tuple(p[t[a][b]] for a in order for b in order)
-        # order[k] is the old element that gets new label k, and p its inverse
-        for order in ((G.unit, *rest) for rest in permutations(others))
-        for p in [sorted(range(n), key=order.__getitem__)]
-    )
-    rows = tuple(best[i * n : (i + 1) * n] for i in range(n))
+    rows = min(table for _, _, table in _relabelings(G, automorphisms_of(G)))
     return HomGroup(rows, rows[0], unit=0)
 
 

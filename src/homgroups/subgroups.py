@@ -20,13 +20,14 @@ from .core import HomGroup, Side, _check_index, _closure, _prime_divisors
 
 @dataclass(frozen=True)
 class SubsetHandle:
-    """Subset of a Hom-group's carrier with bitmask semantics."""
+    """Subset of a Hom-group's carrier with bitmask semantics.
 
-    parent: HomGroup
+    A handle holds only its members.  The library builds handles from
+    subsets it has computed; the entry points that take a caller's subset,
+    subgroup_defect and the coset functions, range-check its members.
+    """
+
     members: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", _as_members(self.parent, self.members))
 
     @property
     def bitmask(self) -> int:
@@ -155,7 +156,7 @@ def enumerate_hom_subgroups(G: HomGroup) -> list[SubsetHandle]:
                 J = _closure(t, unit, (*gens, x))
                 if not any(y in J and y not in H for y in firsts[:i]):
                     found.append((J, (*gens, x), i + 1))
-    handles = [SubsetHandle(G, H) for H, _, _ in found]
+    handles = [SubsetHandle(H) for H, _, _ in found]
     handles.sort(key=lambda h: (len(h), h.bitmask))
     return handles
 
@@ -171,7 +172,7 @@ def _checked_subgroup(G: HomGroup, H: SubsetLike, side: Side) -> SubsetHandle:
     defect = subgroup_defect(G, given)
     if defect is not None:
         raise ValueError(f"subset {format_subset(given)} is not a Hom-subgroup: {defect}")
-    return H if isinstance(H, SubsetHandle) else SubsetHandle(G, frozenset(given))
+    return H if isinstance(H, SubsetHandle) else SubsetHandle(frozenset(given))
 
 
 def _coset(G: HomGroup, sub: SubsetHandle, g: int, side: Side) -> Coset:
@@ -262,7 +263,7 @@ def center(G: HomGroup) -> SubsetHandle:
     members = frozenset(
         x for x in range(G.n) if all(t[x][y] == t[y][x] for y in range(G.n))
     )
-    handle = SubsetHandle(G, members)
+    handle = SubsetHandle(members)
     defect = subgroup_defect(G, handle)
     if defect is not None:
         raise AssertionError(f"center failed subgroup closure: {defect}")
@@ -279,7 +280,7 @@ def centralizer(G: HomGroup, x: int) -> SubsetHandle:
     _check_index(G, x)
     t = G.table.entries
     members = frozenset(g for g in range(G.n) if t[g][x] == t[x][g])
-    return SubsetHandle(G, members)
+    return SubsetHandle(members)
 
 
 @dataclass(frozen=True)
@@ -307,7 +308,7 @@ def cauchy_search(G: HomGroup) -> CauchyReport:
     only on the twist orbit of x, and one walk per orbit finds them all.
     """
     t = G.table.entries
-    closures = [SubsetHandle(G, _closure(t, G.unit, (c[0],))) for c in G.alpha.cycles()]
+    closures = [SubsetHandle(_closure(t, G.unit, (c[0],))) for c in G.alpha.cycles()]
     entries = []
     for p in _prime_divisors(G.n):
         sized = [H for H in closures if len(H) == p]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -120,6 +121,13 @@ ORDER_8_DIGESTS = {
     True: "384a0ec1b7ae90ab1f7878166fea3deb5f2e5afc62f0b775f646f6a096ed6659",
 }
 
+# The same digest of classify_order(8, include_groups).representatives,
+# taken when canonical_form still minimized over every relabeling.
+ORDER_8_CLASS_DIGESTS = {
+    False: "dd23a25bfa26acc9b8c4cfdfe2150d4a9a8e631412432f8400750d86335b2421",
+    True: "258a0b2ead95ec5e4cd713132a14f63219e2989433ac17b4ab8a1093f2efea3d",
+}
+
 
 class TestLabeledListing:
     """enumerate_hom_groups against relabeling every group by brute force."""
@@ -142,6 +150,38 @@ class TestLabeledListing:
             autos = automorphisms_of(R)
             tables = [table for _, _, table in _relabelings(R, autos)]
             assert len(tables) == len(set(tables)) == factorial(n - 1) // len(autos)
+
+    @pytest.mark.parametrize(
+        "kind, k", [("zn", k) for k in range(1, 7)] + [("dn", k) for k in range(1, 4)]
+    )
+    def test_walk_takes_the_least_ordering_of_each_orbit(self, twists_of, kind, k):
+        rng = random.Random(k)
+        for T in twists_of(kind, k):
+            n = T.n
+            # T as built, and relabeled so that its unit 0 moves to n-1
+            for G in (T, relabel(T, (n - 1, *rng.sample(range(n - 1), n - 1)))):
+                self._check_walk(G)
+
+    @staticmethod
+    def _check_walk(G):
+        # The orbits of the orderings under Aut G, by brute force over all
+        # orderings and over the bijections that keep the table, the unit
+        # and the twist.  A twisted table alone may have more.
+        n, t, alpha = G.n, G.table.entries, G.alpha.images
+        autos = [
+            a for a in automorphisms_by_filter(t)
+            if a[G.unit] == G.unit and all(a[alpha[x]] == alpha[a[x]] for x in range(n))
+        ]
+        least = set()
+        for rest in permutations([x for x in range(n) if x != G.unit]):
+            o = (G.unit, *rest)
+            least.add(min(tuple(a[x] for x in o) for a in autos))
+        walked = list(_relabelings(G, automorphisms_of(G)))
+        assert [o for _, o, _ in walked] == sorted(least)
+        assert len(walked) == factorial(n - 1) // len(autos)
+        for p, o, table in walked:
+            assert all(p[o[k]] == k for k in range(n))
+            assert table == tuple(tuple(p[t[i][j]] for j in o) for i in o)
 
     def test_structures_share_equal_rows(self):
         found = enumerate_hom_groups(SearchConfig(6, include_groups=True))
@@ -452,6 +492,12 @@ class TestGroupsByExtension:
         expected = lexmin_classes([(G.table.entries, G.unit) for G in structures])
         report = classify_order(n, include_groups)
         assert [G.table.entries for G in report.representatives] == expected
+
+    @pytest.mark.parametrize("include_groups", [False, True])
+    def test_order_eight_digest(self, include_groups):
+        report = classify_order(8, include_groups, max_order_guard=8)
+        digest = hashlib.sha256(repr(_table_twist_pairs(report.representatives)).encode())
+        assert digest.hexdigest() == ORDER_8_CLASS_DIGESTS[include_groups]
 
     def test_classes_match_the_reduction_at_order_seven(self):
         report = classify_order(7, include_groups=True, max_order_guard=7)

@@ -1,10 +1,12 @@
-"""Round trips through twisting and documents, and the shape of result types.
+"""Round trips through twisting, documents and relabeling, and the shape
+of result types.
 
 The structures are twists of Z_k and D_k for k <= 16 and of Z2 x Z4 and
 Z3 x D3, each by an automorphism drawn from the full list.
 """
 
 import dataclasses
+import random
 from functools import cache
 
 import pytest
@@ -18,13 +20,18 @@ from homgroups import (
     FiniteGroup,
     GroupHopfAlgebra,
     LagrangeReport,
+    SubsetHandle,
     automorphisms_of,
+    canonical_form,
+    classify_order,
     cyclic_group,
     dihedral_group,
     direct_product,
+    relabel,
     twist,
 )
 from homgroups.cli import document_to_hom_group, hom_group_to_document
+from oracles import lexmin_classes
 
 GROUPS = (
     [("zn", k) for k in range(1, 17)]
@@ -50,8 +57,9 @@ def _automorphisms(key):
 
 
 @st.composite
-def twisted_groups(draw):
-    key = draw(st.sampled_from(GROUPS))
+def twisted_groups(draw, max_order=None):
+    keys = [k for k in GROUPS if max_order is None or _group(*k).n <= max_order]
+    key = draw(st.sampled_from(keys))
     alpha = draw(st.sampled_from(_automorphisms(key)))
     return twist(_group(*key), alpha)
 
@@ -74,6 +82,22 @@ def test_document_round_trip(G):
     assert document_to_hom_group(hom_group_to_document(G)) == G
 
 
+@settings(max_examples=60, deadline=None)
+@given(twisted_groups(max_order=8), st.randoms(use_true_random=False))
+def test_relabel_commutes_with_the_canonical_form(G, rng):
+    assert canonical_form(relabel(G, rng.sample(range(G.n), G.n))) == canonical_form(G)
+
+
+def test_order_seven_classes_are_lexmin_fixed_points():
+    # lexmin_classes minimizes over every relabeling by its own loop: a
+    # second route to canonical_form past the orders the listing covers.
+    rng = random.Random(7)
+    for R in classify_order(7, include_groups=True, max_order_guard=7).representatives:
+        for _ in range(3):
+            moved = relabel(R, rng.sample(range(7), 7))
+            assert lexmin_classes([(moved.table.entries, moved.unit)]) == [R.table.entries]
+
+
 @pytest.mark.parametrize(
     "cls, names",
     [
@@ -83,6 +107,7 @@ def test_document_round_trip(G):
         (CauchyReport, ("entries",)),
         (ClassificationReport, ("raw_count", "representatives")),
         (GroupHopfAlgebra, ("product", "unit", "antipode", "alpha")),
+        (SubsetHandle, ("members",)),
     ],
 )
 def test_result_types_hold_only_results(cls, names):

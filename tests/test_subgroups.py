@@ -549,17 +549,28 @@ class TestCauchy:
 
 
 class TestSubsetHandle:
-    def test_bitmask_and_sorting(self, z6a):
-        h = SubsetHandle(z6a, frozenset({4, 0, 2}))
+    def test_bitmask_and_sorting(self):
+        h = SubsetHandle(frozenset({4, 0, 2}))
         assert h.bitmask == 0b10101
         assert h.sorted_members() == (0, 2, 4)
         assert 2 in h and 1 not in h
 
+    # A handle holds only its members.  The entry points that take a
+    # caller's subset check it, whether it comes as a handle or not.
+    @staticmethod
+    def _entry_points(members):
+        for S in (members, SubsetHandle(frozenset(members))):
+            yield lambda G, S=S: subgroup_defect(G, S)
+            yield lambda G, S=S: coset(G, S, 0)
+            yield lambda G, S=S: coset_partition(G, S, "right")
+
     def test_rejects_out_of_range(self, z3a):
-        with pytest.raises(ValueError):
-            SubsetHandle(z3a, frozenset({5}))
+        for call in self._entry_points({0, 5}):
+            with pytest.raises(ValueError, match=r"members outside carrier: \[5\]"):
+                call(z3a)
 
     @pytest.mark.parametrize("members", [{0, True}, {0, 1.0}, (1, False)])
     def test_rejects_non_int_members(self, z3a, members):
-        with pytest.raises(ValueError, match="non-integer"):
-            SubsetHandle(z3a, members)
+        for call in self._entry_points(members):
+            with pytest.raises(ValueError, match="non-integer"):
+                call(z3a)
