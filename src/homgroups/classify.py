@@ -37,7 +37,10 @@ automorphisms of R, so R gives (n-1)! structures, (n-1)! - (n-1)!/|Aut R|
 of them twisted.  classify_order reads everything it reports off the
 pairs (R, Aut R): the labeled count by this formula, and the classes as
 R twisted by one automorphism from each conjugacy class, each put in
-canonical form.  Only enumerate_hom_groups builds the labeled structures.
+canonical form.  The number of classes is the number of those (R, class)
+pairs, so a caller that only counts them, as the classify command does
+for its labeled listing, needs no canonical form.  Only
+enumerate_hom_groups builds the labeled structures.
 It builds each labeled table once, from the lex-least relabeling in its
 orbit under Aut R, which a walk down the pointwise stabilizers in Aut R
 finds without building the other relabelings.  It twists each table by
@@ -73,6 +76,7 @@ from .core import FiniteGroup, HomGroup, Permutation, PermLike, _as_perm, _prime
 
 ORDER_GUARD = 6  # default largest order searched; callers raise it explicitly
 _SOLVABLE_BELOW = 60  # every group of smaller order is solvable; A5 has order 60
+_Pairs = list[tuple[FiniteGroup, list[Permutation]]]  # each group with its automorphisms
 
 
 class OrderGuardError(ValueError):
@@ -101,10 +105,8 @@ class ClassifyStats:
     isomorphism_calls counts the searches that dedupe the groups built,
     or the structures given to reduce_to_classes.
     classify_order builds no labeled table, so it leaves group_tables,
-    structures and twist_s alone; enumerate_hom_groups sets them.  Each
-    call builds the groups and their automorphisms afresh, so one stats
-    object passed to both, as the labeled listing of the classify command
-    does, counts that build twice.
+    structures and twist_s alone; enumerate_hom_groups sets them and
+    takes no canonical form.
     """
 
     def __init__(self) -> None:
@@ -220,9 +222,7 @@ def _relabelings(
     return walk((unit,), others, [a.images for a in autos])
 
 
-def _group_pairs(
-    cfg: SearchConfig, stats: ClassifyStats
-) -> list[tuple[FiniteGroup, list[Permutation]]]:
+def _group_pairs(cfg: SearchConfig, stats: ClassifyStats) -> _Pairs:
     """One group of order cfg.order per isomorphism class, each with its
     automorphisms, after checking the order guard."""
     if cfg.order > cfg.max_order_guard:
@@ -253,18 +253,22 @@ def enumerate_hom_groups(
     list to reduce_to_classes for one representative per isomorphism class.
     """
     stats = ClassifyStats() if stats is None else stats
-    pairs = _group_pairs(cfg, stats)
+    return _listing(_group_pairs(cfg, stats), cfg.include_groups, stats)
+
+
+def _listing(pairs: _Pairs, include_groups: bool, stats: ClassifyStats) -> list[HomGroup]:
+    """The labeled structures of enumerate_hom_groups, from its group pairs."""
     start = time.perf_counter()
     # Per group: p -> p alpha, for each twist alpha kept, and the relabelings.
     labeled = [
         (
-            [itemgetter(*a.images, 0) for a in autos if cfg.include_groups or not a.is_identity],
+            [itemgetter(*a.images, 0) for a in autos if include_groups or not a.is_identity],
             list(_relabelings(R, autos)),
         )
         for R, autos in pairs
     ]
     relabeled = time.perf_counter()
-    n = cfg.order
+    n = pairs[0][0].n
     # itemgetter returns a bare item, not a 1-tuple, for a single index.  So
     # each gather below takes the unit 0 as one index more, which the next
     # gather never reads, and rows_of cuts beta, which is row 0, before the
@@ -307,6 +311,17 @@ def reduce_to_classes(
     stats.canonical_form_calls += len(classes)
     stats.reduce_s += time.perf_counter() - start
     return classes
+
+
+def _class_twists(pairs: _Pairs, include_groups: bool) -> list[tuple[FiniteGroup, Permutation]]:
+    """One (group, twist) pair per class: each group with one automorphism
+    from each conjugacy class, the identity only when include_groups is set."""
+    return [
+        (R, alpha)
+        for R, autos in pairs
+        for alpha in _conjugacy_representatives(autos)
+        if include_groups or not alpha.is_identity
+    ]
 
 
 def _conjugacy_representatives(autos: list[Permutation]) -> Iterator[Permutation]:
@@ -398,12 +413,7 @@ def classify_order(
     stats = ClassifyStats() if stats is None else stats
     pairs = _group_pairs(cfg, stats)
     start = time.perf_counter()
-    classes = [
-        canonical_form(twist(R, alpha))
-        for R, autos in pairs
-        for alpha in _conjugacy_representatives(autos)
-        if include_groups or not alpha.is_identity
-    ]
+    classes = [canonical_form(twist(R, a)) for R, a in _class_twists(pairs, include_groups)]
     classes.sort(key=lambda g: g.table.entries)
     stats.canonical_form_calls += len(classes)
     stats.reduce_s += time.perf_counter() - start

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import re
+from functools import reduce
+from operator import getitem
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homgroups import (
     SearchConfig,
@@ -19,7 +25,7 @@ from homgroups.cli import (
     parse_document,
     render_text,
 )
-from oracles import dihedral_automorphisms_by_formula
+from oracles import dihedral_automorphisms_by_formula, hom_group_counts_by_automorphisms
 
 Z3A_TEXT = """\
 * | 1 a b
@@ -185,11 +191,20 @@ class TestClassifyCommand:
 
     @pytest.mark.parametrize("flags", [(), ("--include-groups",)])
     def test_structure_count_matches_the_listing(self, capsys, flags):
-        # The count is a formula, the listing is built: both must agree.
+        # The structures line is the length of the listing printed below it.
         code, out = run(capsys, "classify", "--order", "4", *flags)
         assert code == 0
         listed = sum(line.startswith("structure ") for line in out.splitlines())
         assert f"structures: {listed}\n" in out and listed == (12 if flags else 8)
+
+    @pytest.mark.parametrize("n", [4, 6, 7])
+    @pytest.mark.parametrize("include_groups", [False, True])
+    def test_labeled_header_matches_the_oracle(self, capsys, n, include_groups):
+        flags = ["--include-groups"] if include_groups else []
+        code, out = run(capsys, "classify", "--order", str(n), "--force", *flags)
+        assert code == 0
+        labeled, classes = hom_group_counts_by_automorphisms(n)[include_groups]
+        assert out.splitlines()[2:4] == [f"structures: {labeled}", f"iso-classes: {classes}"]
 
     def test_deterministic(self, capsys):
         _, first = run(capsys, "classify", "--order", "4", "--up-to-iso")
@@ -231,10 +246,11 @@ class TestClassifyCommand:
         # twisted by its 2 or 6 automorphisms, 3*2 + 1*6 = 12 structures.
         assert stats["group_tables"] == 4
         assert stats["structures"] == 12
-        # classify_order and the listing each build the groups and their
-        # automorphisms, so the 2 + 6 automorphisms are counted twice.
-        assert stats["automorphisms"] == 2 * (2 + 6)
-        assert stats["canonical_form_calls"] == 5
+        # One build of Z4 and Z2^2 and their 2 + 6 automorphisms serves the
+        # listing and the class count, which takes no canonical form.
+        assert stats["automorphisms"] == 2 + 6
+        assert stats["canonical_form_calls"] == 0
+        assert stats["reduce_s"] == 0.0
         assert stats["isomorphism_calls"] == 0
         assert all(stats[k] >= 0 for k in ("search_s", "automorphisms_s", "twist_s", "reduce_s"))
 
@@ -478,6 +494,31 @@ class TestTwistCommand:
         assert len(lines) == 512
         assert lines == [",".join(map(str, f)) for f in dihedral_automorphisms_by_formula(32)]
 
+    @pytest.mark.parametrize("kind", ["zn", "dn"])
+    def test_operand_guard_refuses_before_building(self, capsys, monkeypatch, kind):
+        import homgroups.cli as cli
+
+        def unbuilt(k):
+            raise AssertionError(f"built a group from k = {k}")
+
+        monkeypatch.setattr(cli._constructions, "cyclic_group", unbuilt)
+        monkeypatch.setattr(cli._constructions, "dihedral_group", unbuilt)
+        # zn:10**20, and the least dn:k whose 2k elements are over the guard
+        k = 10**20 if kind == "zn" else cli._OPERAND_GUARD // 2 + 1
+        code, out = run(capsys, "twist", "--group", f"{kind}:{k}", "--conjugate", "0")
+        assert code == 2
+        assert out.endswith("; pass --force to build it\nerror: guard-refused\n")
+
+    def test_operand_guard_counts_the_carrier_and_force_overrides_it(self, capsys, monkeypatch):
+        import homgroups.cli as cli
+
+        monkeypatch.setattr(cli, "_OPERAND_GUARD", 6)
+        for spec, code in (("zn:6", 0), ("zn:7", 2), ("dn:3", 0), ("dn:4", 2)):
+            assert run(capsys, "twist", "--group", spec, "--conjugate", "0")[0] == code, spec
+        code, out = run(capsys, "twist", "--group", "dn:4", "--conjugate", "0", "--force")
+        assert code == 0
+        assert json.loads(out)["order"] == 8
+
     def test_non_automorphism_rejected(self, capsys):
         code, out = run(capsys, "twist", "--group", "zn:6", "--auto", "0,2,1,3,4,5")
         assert code == 2
@@ -616,3 +657,77 @@ class TestErrorSurface:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+# A valid order-3 document, its mutable paths, and the document commands
+# run on each mutation of it (PATH stands for the document's path).
+_Z3_DOCUMENT = {
+    "order": 3,
+    "unit": 0,
+    "alpha": [0, 1, 2],
+    "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+    "labels": ["e", "a", "b"],
+}
+_PATHS = (
+    *[(key,) for key in ("order", "unit", "alpha", "table", "labels", "name")],
+    *[(key, i) for key in ("alpha", "table", "labels") for i in range(3)],
+    *[("table", i, j) for i in range(3) for j in range(3)],
+)
+_DELETE = object()
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-4, 4),
+    st.just(10**30),
+    st.just(float("nan")),
+    st.floats(),
+    st.text(max_size=3),
+    st.recursive(
+        st.none() | st.integers(-1, 3),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner),
+        max_leaves=8,
+    ),
+    st.just(_DELETE),
+)
+_DOCUMENT_COMMANDS = (
+    ("verify", "PATH"),
+    ("subgroups", "PATH"),
+    ("lagrange", "PATH"),
+    ("cauchy", "PATH"),
+    ("hopf", "PATH", "--check"),
+    ("hopf", "PATH", "--dims"),
+    ("cayley", "PATH"),
+    ("cayley", "PATH", "--format", "json"),
+    ("cosets", "PATH", "--subgroup", "0"),
+    ("twist", "--group", "PATH", "--conjugate", "1"),
+    ("twist", "--group", "PATH", "--list-autos"),
+)
+_TAGS = {
+    "parse-error", "invalid-structure", "domain-error", "usage-error", "guard-refused",
+    "not-automorphism",
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_PATHS), _VALUES), min_size=1, max_size=2))
+def test_document_mutations_end_with_a_tag_and_never_a_traceback(tmp_path_factory, mutations):
+    doc = json.loads(json.dumps(_Z3_DOCUMENT))
+    for (*parents, last), value in mutations:
+        try:
+            node = reduce(getitem, parents, doc)
+            if value is _DELETE:
+                del node[last]
+            else:
+                node[last] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed the path
+    path = tmp_path_factory.mktemp("mutated") / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in _DOCUMENT_COMMANDS:
+        argv = [str(path) if arg == "PATH" else arg for arg in command]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        if code != 0:
+            tag = re.search(r"error: ([a-z-]+)\n\Z", out.getvalue())
+            assert code in (1, 2) and tag is not None and tag.group(1) in _TAGS, (argv, doc)

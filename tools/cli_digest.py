@@ -199,6 +199,9 @@ def commands() -> list[list[str]]:
         ["twist", "--group", "dn:0", "--list-autos"],
         ["twist", "--group", "zn:5", "--conjugate", "5"],
         ["twist", "--group", "z2e5.json", "--list-autos"],
+        # carriers of 1,025 and 1,026 elements, just over twist's operand guard
+        ["twist", "--group", "zn:1025", "--conjugate", "0"],
+        ["twist", "--group", "dn:513", "--auto", "0,1"],
     ]
     for n in range(1, 7):
         for flags in ([], ["--include-groups"]):
