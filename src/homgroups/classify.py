@@ -71,7 +71,14 @@ from math import factorial
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-from .constructions import _isomorphisms, _profile, automorphisms_of, inner_automorphism, twist
+from .constructions import (
+    _isomorphisms,
+    _keys,
+    _profile,
+    automorphisms_of,
+    inner_automorphism,
+    twist,
+)
 from .core import FiniteGroup, HomGroup, Permutation, PermLike, _as_perm, _prime_divisors
 
 ORDER_GUARD = 6  # default largest order searched; callers raise it explicitly
@@ -122,18 +129,22 @@ class ClassifyStats:
 
 
 def _distinct(structures: Iterable[HomGroup], stats: ClassifyStats) -> list[HomGroup]:
-    """The first structure met of each isomorphism class, in order met."""
+    """The first structure met of each isomorphism class, in order met.
+
+    A search from a kept structure needs its generators, but of the
+    structure searched for only the keys, so only the kept take generators.
+    """
     buckets: dict[tuple, list[tuple[HomGroup, tuple]]] = {}
     kept: list[HomGroup] = []
     for G in structures:
-        p = _profile(G)  # (generators, keys, signature)
-        reps = buckets.setdefault(p[2], [])
+        k = _keys(G)  # (keys, signature)
+        reps = buckets.setdefault(k[1], [])
         for R, pr in reps:
             stats.isomorphism_calls += 1
-            if next(_isomorphisms(R, G, pr, p), None) is not None:
+            if next(_isomorphisms(R, G, pr, k), None) is not None:
                 break
         else:
-            reps.append((G, p))
+            reps.append((G, _profile(G)))
             kept.append(G)
     return kept
 

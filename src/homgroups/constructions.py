@@ -76,17 +76,15 @@ def is_automorphism(G: FiniteGroup, f: PermLike) -> bool:
     return len(f) == G.n and _multiplicativity_witness(G.table.entries, f.images) is None
 
 
-def _profile(G: HomGroup) -> tuple:
-    """G's (generators, keys, signature), computed once per structure.
+def _keys(G: HomGroup) -> tuple[list, tuple]:
+    """G's (keys, signature), all that an isomorphism search needs of its target.
 
-    The generators are core._greedy_generators, the ones Light's test
-    picks.  keys[x] is (length of x's twist cycle, order of x in the
-    untwisted group g.h = alpha^-1(g*h)), and the signature is the sorted
-    key multiset.  An isomorphism preserves every key, so structures with
+    keys[x] is (length of x's twist cycle, order of x in the untwisted
+    group g.h = alpha^-1(g*h)), and the signature is the sorted key
+    multiset.  An isomorphism preserves every key, so structures with
     different signatures are never isomorphic.
     """
     t, unit = G.table.entries, G.unit
-    gens = tuple(_greedy_generators(t, unit))
     a_inv = G.alpha.inverse().images
     cycle = {x: len(c) for c in G.alpha.cycles() for x in c}
 
@@ -97,15 +95,22 @@ def _profile(G: HomGroup) -> tuple:
         return m
 
     keys = [(cycle[x], order(x)) for x in G.elements()]
-    return gens, keys, tuple(sorted(keys))
+    return keys, tuple(sorted(keys))
 
 
-def _isomorphisms(G: HomGroup, H: HomGroup, pg=(), ph=()) -> Iterator[Permutation]:
+def _profile(G: HomGroup) -> tuple:
+    """G's (generators, keys, signature): the generators are
+    core._greedy_generators, the ones Light's test picks, and the rest is
+    _keys(G)."""
+    return (tuple(_greedy_generators(G.table.entries, G.unit)), *_keys(G))
+
+
+def _isomorphisms(G: HomGroup, H: HomGroup, pg=(), kh=()) -> Iterator[Permutation]:
     """Every isomorphism from G to H, each once, in no promised order.
 
     An isomorphism is a bijection f with f(g*k) = f(g)*f(k) that carries
-    G's twist alpha to H's twist beta, f(alpha(g)) = beta(f(g)).  pg and
-    ph are the _profile of G and of H, computed here when left empty.
+    G's twist alpha to H's twist beta, f(alpha(g)) = beta(f(g)).  pg is
+    the _profile of G and kh the _keys of H, computed here when left empty.
 
     The search sets f(unit) to H's unit and picks an image of equal key for
     each generator g_1, ..., g_k of G in turn.  After each pick it extends
@@ -128,7 +133,7 @@ def _isomorphisms(G: HomGroup, H: HomGroup, pg=(), ph=()) -> Iterator[Permutatio
       = f(x)*f(y) for all x and y.
     """
     gens, keys_g, signature = pg or _profile(G)
-    _, keys_h, signature_h = ph or _profile(H)
+    keys_h, signature_h = kh or _keys(H)
     if signature != signature_h:  # this also compares the orders of G and H
         return
     ta, tb = G.table.entries, H.table.entries
@@ -178,7 +183,7 @@ def automorphisms_of(G: HomGroup) -> list[Permutation]:
     the twist.
     """
     p = _profile(G)
-    return sorted(_isomorphisms(G, G, p, p), key=lambda f: f.images)
+    return sorted(_isomorphisms(G, G, p, p[1:]), key=lambda f: f.images)
 
 
 def automorphism_search_size(G: HomGroup) -> int:

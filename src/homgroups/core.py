@@ -180,11 +180,11 @@ PermLike = Union[Permutation, Sequence[int]]
 
 
 def _as_table(table: TableLike) -> CayleyTable:
-    return table if isinstance(table, CayleyTable) else CayleyTable(tuple(tuple(r) for r in table))
+    return table if isinstance(table, CayleyTable) else CayleyTable(table)
 
 
 def _as_perm(p: PermLike) -> Permutation:
-    return p if isinstance(p, Permutation) else Permutation(tuple(p))
+    return p if isinstance(p, Permutation) else Permutation(p)
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -267,7 +267,7 @@ def _greedy_generators(t: Sequence[Sequence[int]], unit: int) -> Iterator[int]:
 
 
 def _untwisted_is_associative(t: Sequence[Sequence[int]], a: Sequence[int], unit: int) -> bool:
-    """True when Light's test proves g.h = a^-1(g*h) associative.
+    """True exactly when g.h = a^-1(g*h) is associative, by Light's test.
 
     The caller must have checked that a is multiplicative for * and that
     the unit's row and column both equal a.  Then a is an automorphism of
@@ -282,20 +282,18 @@ def _untwisted_is_associative(t: Sequence[Sequence[int]], a: Sequence[int], unit
     Generators are picked by _greedy_generators and each is tested, one
     row of . per element x, when it is picked.  The set _closure reaches
     from the tested generators lies in S, and it holds each of them, since
-    unit*g = a(g) and x*unit = a(x) walk round the twist orbit of g.  So
-    once no element is left outside it, . is associative.  In a Hom-group
-    that set is the Hom-subgroup the generators generate, which each new
-    generator at least doubles, so the search gives up once more than
-    floor(log2 n) would be needed.  False therefore means "not certified":
-    a generator failed, or there were too many.
+    unit*g = a(g) and x*unit = a(x) walk round the twist orbit of g.  The
+    generators run out only once no element is left outside that set, so
+    . is associative when every generator passes, and a failed generator
+    is a witness that it is not.  Given the caller's checks, the result is
+    therefore True exactly when . is associative.  In a Hom-group each new
+    generator at least doubles the set, so there are at most floor(log2 n)
+    of them and the test costs O(n^2 log n).
     """
     n = len(t)
     a_inv = sorted(range(n), key=a.__getitem__)  # a_inv[a[i]] = i
     u = [list(map(a_inv.__getitem__, row)) for row in t]
-    cap = n.bit_length() - 1
-    for count, g in enumerate(_greedy_generators(t, unit)):
-        if count == cap:
-            return False
+    for g in _greedy_generators(t, unit):
         # (x.g).y = x.(g.y) for every y, one row of . per x.
         dot_g = u[g]
         for row in u:
@@ -315,9 +313,10 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
 
     Once every earlier check has passed, twisted associativity is the
     associativity of the untwisted product g.h = alpha^-1(g*h), which
-    Light's test settles from a generating set in O(n^2 log n).  Only when
-    that test fails or cannot certify does the scan over all n^3 triples
-    run, to find the lexicographically first failing triple.
+    Light's test settles from a generating set, in O(n^2 log n) on a
+    Hom-group.  The scan over all n^3 triples runs only after an earlier
+    check or Light's test has failed, to find the lexicographically first
+    failing triple.
     """
     table = _as_table(table)
     alpha = _as_perm(alpha)
@@ -328,42 +327,32 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
     if type(unit) is not int or not 0 <= unit < n:
         raise ValueError(f"unit {unit!r} outside 0..{n - 1}")
     a = alpha.images
+    cols = tuple(zip(*t))
     violations: list[tuple[str, tuple[int, ...]]] = []
-
-    def first_duplicate(seq: tuple[int, ...]) -> tuple[int, int]:
-        seen: dict[int, int] = {}
-        for pos, v in enumerate(seq):
-            if v in seen:
-                return seen[v], pos
-            seen[v] = pos
-        raise AssertionError("no repeated entry")
 
     # Entries lie in 0..n-1, so a line repeats one exactly when its set is
     # smaller than n; the set test runs at C speed and the scan only on a hit.
-    for tag, lines in (("latin-row", t), ("latin-col", tuple(zip(*t)))):
+    # The witness is the first position q whose entry occurred before, at p.
+    for tag, lines in (("latin-row", t), ("latin-col", cols)):
         for i, line in enumerate(lines):
             if len(set(line)) < n:
-                dup = first_duplicate(line)
-                violations.append((tag, (i, dup[0], dup[1])))
+                q = next(q for q, v in enumerate(line) if line.index(v) < q)
+                violations.append((tag, (i, line.index(line[q]), q)))
                 break
 
     if a[unit] != unit:
         violations.append(("unit-fixed", (unit,)))
 
-    if t[unit] != a:
-        j = next(j for j in range(n) if t[unit][j] != a[j])
-        violations.append(("unit-row", (j,)))
-    col_u = table.col(unit)
-    if col_u != a:
-        i = next(i for i in range(n) if col_u[i] != a[i])
-        violations.append(("unit-col", (i,)))
+    for tag, line in (("unit-row", t[unit]), ("unit-col", cols[unit])):
+        if line != a:
+            violations.append((tag, (next(j for j in range(n) if line[j] != a[j]),)))
 
     hit = _multiplicativity_witness(t, a)
     if hit is not None:
         violations.append(("twist-multiplicative", hit))
 
     # Light's test relies on the checks above; after any failure, or when it
-    # cannot certify, the scan finds the first failing triple.
+    # fails, the scan finds the first failing triple.
     if violations or not _untwisted_is_associative(t, a, unit):
         hit3 = _hom_associativity_witness(t, a)
         if hit3 is not None:
@@ -517,7 +506,6 @@ def mul(G: HomGroup, a: int, b: int) -> int:
 
 def alpha_apply(G: HomGroup, a: int, k: int) -> int:
     """k-th iterate of the twist at a; negative k iterates the inverse."""
-    _check_index(G, a)
     return G.alpha.apply(a, k)
 
 
@@ -534,7 +522,6 @@ def left_divide(G: HomGroup, a: int, b: int) -> int:
     the quasigroup property; agrees with a row scan of the table.
     """
     _check_index(G, a)
-    _check_index(G, b)
     t = G.table.entries
     return t[G.alpha.apply(G.inverses[a], -1)][G.alpha.apply(b, -2)]
 
@@ -542,7 +529,6 @@ def left_divide(G: HomGroup, a: int, b: int) -> int:
 def right_divide(G: HomGroup, a: int, b: int) -> int:
     """The unique y with y*a = b, via y = alpha^-2(b) * alpha^-1(a^-1)."""
     _check_index(G, a)
-    _check_index(G, b)
     t = G.table.entries
     return t[G.alpha.apply(b, -2)][G.alpha.apply(G.inverses[a], -1)]
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .core import AxiomReport, CayleyTable, HomGroup, Permutation, verify
+from .core import AxiomReport, CayleyTable, HomGroup, Permutation, _as_perm, _as_table, verify
 from .subgroups import center, enumerate_hom_subgroups
 
 
@@ -137,10 +137,8 @@ class GroupHopfAlgebra:
     alpha: Permutation
 
     def __post_init__(self):
-        if not isinstance(self.product, CayleyTable):
-            object.__setattr__(self, "product", CayleyTable(self.product))
-        if not isinstance(self.alpha, Permutation):
-            object.__setattr__(self, "alpha", Permutation(self.alpha))
+        object.__setattr__(self, "product", _as_table(self.product))
+        object.__setattr__(self, "alpha", _as_perm(self.alpha))
         n = self.product.n
         object.__setattr__(self, "antipode", tuple(self.antipode))
         if len(self.antipode) != n:

@@ -98,8 +98,9 @@ def subgroup_defect(G: HomGroup, S: SubsetLike) -> Optional[str]:
     if G.unit not in members:
         return f"unit {G.unit} not in subset"
     t = G.table.entries
-    for a in sorted(members):
-        for b in sorted(members):
+    ordered = sorted(members)
+    for a in ordered:
+        for b in ordered:
             if t[a][b] not in members:
                 return f"not closed under product: {a}*{b} = {t[a][b]} escapes"
     return None
@@ -204,7 +205,11 @@ def coset_partition(G: HomGroup, H: SubsetLike, side: Side = "left") -> list[Cos
     alpha(g) is already covered meets a kept block, and equals it since
     cosets are disjoint or equal; only the others are formed.
     """
-    sub = _checked_subgroup(G, H, side)
+    return _partition(G, _checked_subgroup(G, H, side), side)
+
+
+def _partition(G: HomGroup, sub: SubsetHandle, side: Side) -> list[Coset]:
+    """coset_partition of a checked Hom-subgroup."""
     a = G.alpha.images
     blocks: list[Coset] = []
     covered: set[int] = set()
@@ -244,15 +249,16 @@ def lagrange_check(G: HomGroup) -> LagrangeReport:
     """Divisibility and partition audit over every Hom-subgroup.
 
     For each Hom-subgroup H the left and right coset partitions are
-    formed, and coset_partition checks that each tiles the carrier with
-    blocks of size |H|, so |H| divides |G|.  Any failure raises, since it
+    formed, and each is checked to tile the carrier with blocks of size
+    |H|, so |H| divides |G|.  The lattice builds each H as a closure, so
+    it is not re-checked as a subgroup.  Any failure raises, since it
     would be an implementation defect; the report lists (|H|, |G|/|H|)
     per subgroup.
     """
     entries = []
     for H in enumerate_hom_subgroups(G):
         for side in ("left", "right"):
-            coset_partition(G, H, side)
+            _partition(G, H, side)
         entries.append(LagrangeEntry(subgroup=H, order=len(H), index=G.n // len(H)))
     return LagrangeReport(tuple(entries))
 

@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homgroups
 from homgroups import (
     SearchConfig,
     cyclic_group,
@@ -731,3 +736,90 @@ def test_document_mutations_end_with_a_tag_and_never_a_traceback(tmp_path_factor
         if code != 0:
             tag = re.search(r"error: ([a-z-]+)\n\Z", out.getvalue())
             assert code in (1, 2) and tag is not None and tag.group(1) in _TAGS, (argv, doc)
+
+
+# Every subcommand with its flags and a fixed pool of values for each.
+# Orders stop at 6, and zn:/dn: sizes over twist's operand guard are drawn
+# only without --force, so that no run builds a large carrier.
+_SMALL_GROUPS = (*(f"{kind}:{k}" for kind in ("zn", "dn") for k in range(17)), "PATH")
+_LARGE_GROUPS = ("zn:1025", "dn:513", "zn:100000")
+_ELEMENTS = ("-1", "0", "1", "2", "3", "x")
+_FLAG_VALUES = {
+    "--order": tuple(map(str, range(7))),
+    "--emit": ("EMIT", "PATH"),
+    "--subgroup": ("0", "0,1,2", "0,1", "0,a", ""),
+    "--element": _ELEMENTS,
+    "--side": ("left", "right", "up"),
+    "--group": _SMALL_GROUPS,
+    "--auto": ("0,1,2", "0,2,1", "1,0,2", "0,1", "0,x,2"),
+    "--conjugate": _ELEMENTS,
+    "--format": ("text", "csv", "json", "xml"),
+}
+_FLAGS = {
+    "verify": (),
+    "classify": ("--order", "--include-groups", "--up-to-iso", "--force", "--emit", "--stats"),
+    "subgroups": (),
+    "cosets": ("--subgroup", "--element", "--side"),
+    "lagrange": (),
+    "cauchy": (),
+    "twist": ("--group", "--auto", "--conjugate", "--list-autos", "--force"),
+    "hopf": ("--check", "--dims"),
+    "cayley": ("--format",),
+}
+_REQUIRED = {"classify": ("--order",), "cosets": ("--subgroup",), "twist": ("--group",)}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    # Required arguments and no stray flag in most runs, so that most get
+    # past the parser.
+    if command not in ("classify", "twist") and draw(st.integers(0, 7)):
+        argv.append(draw(st.sampled_from(("PATH", "missing.json"))))
+    flags = [f for f in _REQUIRED.get(command, ()) if draw(st.integers(0, 7))]
+    if _FLAGS[command]:
+        more = draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=3, unique=True))
+        flags += [f for f in more if f not in flags]
+    if not draw(st.integers(0, 7)):
+        flags.append(draw(st.sampled_from(("--bogus", "--order", "--check"))))
+    for flag in flags:
+        argv.append(flag)
+        values = _FLAG_VALUES.get(flag, ())
+        if flag == "--group" and "--force" not in flags:
+            values += _LARGE_GROUPS
+        if values:
+            argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argvs())
+def test_argv_ends_with_a_tag_and_never_a_traceback(tmp_path_factory, argv):
+    workdir = tmp_path_factory.mktemp("argv")
+    (workdir / "doc.json").write_text(json.dumps(_Z3_DOCUMENT))
+    places = {"PATH": "doc.json", "EMIT": "emitted", "missing.json": "missing.json"}
+    argv = [str(workdir / places[arg]) if arg in places else arg for arg in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        tag = re.search(r"error: ([a-z-]+)\n\Z", out.getvalue())
+        assert code in (1, 2) and tag is not None and tag.group(1) in _TAGS, argv
+
+
+def test_library_imports_only_the_standard_library():
+    # perfbench's setup_s times this import, so every module it loads
+    # must be the package's own or the standard library's.
+    src = Path(homgroups.__file__).resolve().parents[1]
+    probe = (
+        "import sys; before = set(sys.modules); import homgroups, homgroups.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    roots = {name.partition(".")[0] for name in loaded}
+    assert "homgroups" in roots
+    assert not roots - {"homgroups"} - sys.stdlib_module_names

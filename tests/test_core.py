@@ -233,12 +233,44 @@ class TestVerifyAgainstScan:
         assert report.tags()[0] == "hom-associativity"
         assert list(report.violations) == axiom_violations_by_scan(table, range(10), p[0])
 
+    @pytest.mark.parametrize(
+        "table, associative",
+        [
+            (
+                ((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4), (2, 3, 4, 5, 0, 1),
+                 (3, 2, 5, 4, 1, 0), (4, 5, 0, 1, 3, 2), (5, 4, 1, 0, 2, 3)),
+                1,
+            ),
+            (
+                ((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4), (2, 4, 0, 5, 1, 3),
+                 (3, 5, 1, 4, 0, 2), (4, 2, 5, 1, 3, 0), (5, 3, 4, 0, 2, 1)),
+                2,
+            ),
+        ],
+        ids=["second-fails", "first-fails"],
+    )
+    def test_every_generator_row_is_tested(self, table, associative):
+        # Loops of order 6 with unit 0 and the identity twist, generated by
+        # 1 and 2, of which only one associates with everything: Light's
+        # test must reject each by the row of the other generator.
+        t, n = table, len(table)
+        assert list(core._greedy_generators(t, 0)) == [1, 2]
+        middle = [
+            g
+            for g in (1, 2)
+            if all(t[t[x][g]][y] == t[x][t[g][y]] for x in range(n) for y in range(n))
+        ]
+        assert middle == [associative]
+        report = verify(table, range(n), 0)
+        assert "hom-associativity" in report.tags()
+        assert list(report.violations) == axiom_violations_by_scan(table, range(n), 0)
+
     def test_hom_groups_never_reach_the_scan(
         self, monkeypatch, corrupted_small_structures, twists_of
     ):
-        # Light's test must certify every Hom-group with at most
-        # floor(log2 n) generators, so the unit cannot be one of them:
-        # (Z2)^k needs all k, and the trivial structure needs none.
+        # Light's test certifies every Hom-group, so the n^3 scan, which
+        # only names a witness, never runs on one: (Z2)^k passes with all
+        # k generators, and the trivial structure with none.
         cube = direct_product(direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(2))
         groups = [G for G, *_ in corrupted_small_structures]
         groups += [cube, direct_product(cube, cube), *twists_of("zn", 16), *twists_of("dn", 16)]

@@ -139,6 +139,9 @@ def other_documents() -> dict[str, bytes]:
     """Documents that fail to parse, to load or to verify, and the group
     (Z2)^5, whose automorphism search is over twist's size guard."""
     z2_5 = [[i ^ j for j in range(32)] for i in range(32)]
+    # Z4 with rows 1 and 3 of column 3 swapped: row 1 repeats 2 at 1 and 3
+    row_repeat = [[*row[:3], (3 - i) % 4] for i, row in enumerate(_cyclic(4))]
+    col_repeat = [list(col) for col in zip(*row_repeat)]
     return {
         "bad_json.json": b'{"order": 3,',
         "bad_utf8.json": b'{"order": \xff}',
@@ -156,6 +159,10 @@ def other_documents() -> dict[str, bytes]:
         "bad_latin.json": _z3_with(table=[[0, 1, 2], [1, 1, 0], [2, 0, 1]]),
         "bad_twist.json": _z3_with(alpha=[0, 2, 1]),
         "bad_loop.json": _z3_with(order=5, alpha=list(range(5)), table=_LOOP5),
+        # unit row 0,1,2 equal to the twist, unit column 0,2,1 not
+        "bad_unit_col.json": _z3_with(table=[[(j - i) % 3 for j in range(3)] for i in range(3)]),
+        "bad_latin_row.json": _z3_with(order=4, alpha=list(range(4)), table=row_repeat),
+        "bad_latin_col.json": _z3_with(order=4, alpha=list(range(4)), table=col_repeat),
         "z2e5.json": json.dumps(_document(z2_5, list(range(32)))).encode(),
     }
 
