@@ -12,7 +12,8 @@ object is immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence, TypeAlias, Union
 
 Side = Literal["left", "right"]
 
@@ -36,6 +37,7 @@ def _check_exponent(k: int) -> None:
 class Permutation:
     """Bijection on {0..n-1}, stored as its image sequence."""
 
+    __slots__ = ("images",)  # for the reason CayleyTable gives
     images: tuple[int, ...]
 
     def __post_init__(self):
@@ -119,6 +121,11 @@ class CayleyTable:
     columns are permutations is the verifier's business, not assumed here.
     """
 
+    # One table is kept per listed structure, 25,200 at order 8, so it has
+    # no instance dict.  dataclass(slots=True) would build a second class,
+    # whose frozen __setattr__ raises TypeError, not FrozenInstanceError,
+    # for a name that is not a field (Python 3.11).
+    __slots__ = ("entries",)
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
@@ -175,8 +182,11 @@ class AxiomReport:
         return tuple(tag for tag, _ in self.violations)
 
 
-TableLike = Union[CayleyTable, Sequence[Sequence[int]]]
-PermLike = Union[Permutation, Sequence[int]]
+# Strings, not typing.Union objects: typing caches every Union it builds,
+# and a cached Union of the classes above would keep each import of this
+# module alive after it is dropped from sys.modules.
+TableLike: TypeAlias = "Union[CayleyTable, Sequence[Sequence[int]]]"
+PermLike: TypeAlias = "Union[Permutation, Sequence[int]]"
 
 
 def _as_table(table: TableLike) -> CayleyTable:
@@ -195,12 +205,19 @@ def _prime_divisors(n: int) -> list[int]:
 def _multiplicativity_witness(
     t: Sequence[Sequence[int]], a: Sequence[int]
 ) -> Optional[tuple[int, int]]:
-    """The first pair (g, k) with a(g*k) != a(g)*a(k), or None."""
-    for g in range(len(t)):
+    """The first pair (g, k) with a(g*k) != a(g)*a(k), or None.
+
+    Each row is compared whole, as two itemgetter gathers, and scanned for
+    k only when it fails.  At n = 1 both gathers are a bare item, not a
+    1-tuple, and still compare equal exactly when the row passes.
+    """
+    at_a = itemgetter(*a)  # row -> (row[a(0)], ..., row[a(n-1)])
+    for g, row in enumerate(t):
         row_ag = t[a[g]]
-        for k in range(len(t)):
-            if a[t[g][k]] != row_ag[a[k]]:
-                return (g, k)
+        if itemgetter(*row)(a) != at_a(row_ag):
+            for k, v in enumerate(row):
+                if a[v] != row_ag[a[k]]:
+                    return (g, k)
     return None
 
 
@@ -292,12 +309,14 @@ def _untwisted_is_associative(t: Sequence[Sequence[int]], a: Sequence[int], unit
     """
     n = len(t)
     a_inv = sorted(range(n), key=a.__getitem__)  # a_inv[a[i]] = i
-    u = [list(map(a_inv.__getitem__, row)) for row in t]
+    u = [tuple(map(a_inv.__getitem__, row)) for row in t]
+    # No generator is picked at n = 1, so each getter below has n >= 2
+    # indices and returns a tuple, never a bare item.
     for g in _greedy_generators(t, unit):
         # (x.g).y = x.(g.y) for every y, one row of . per x.
-        dot_g = u[g]
+        at_dot_g = itemgetter(*u[g])  # row x of . -> (x.(g.y) for each y)
         for row in u:
-            if u[row[g]] != list(map(row.__getitem__, dot_g)):
+            if u[row[g]] != at_dot_g(row):
                 return False
     return True
 

@@ -30,11 +30,19 @@ from .subgroups import center, enumerate_hom_subgroups
 class _SparseSum:
     """Sparse integer combination of basis keys; zeros are not stored.
 
-    Each subclass builds results of its own type with _like(coeffs), and
-    says with _matches which sums it can be added to or equal.
+    Results are built with _like(coeffs), which keeps the type and rank of
+    the sum it is called on.  Their keys come from keys already checked or
+    from the structure tables, so _like drops zeros but checks no key; the
+    constructors check every key they are given.  Each subclass says with
+    _matches which sums it can be added to or equal.
     """
 
     __slots__ = ("coeffs",)
+
+    def _like(self, coeffs: dict) -> "_SparseSum":
+        out = object.__new__(type(self))
+        out.coeffs = {k: v for k, v in coeffs.items() if v != 0}
+        return out
 
     def _matches(self, other: "_SparseSum") -> bool:
         return type(other) is type(self)
@@ -64,15 +72,23 @@ class _SparseSum:
 
 
 class FormalElement(_SparseSum):
-    """Sparse integer combination of basis indices; zeros are not stored."""
+    """Sparse integer combination of basis indices; zeros are not stored.
+
+    Each key must be an int >= 0, or ValueError is raised; an index past
+    the carrier raises IndexError when a structure map reads it.
+    """
 
     __slots__ = ()
 
     def __init__(self, coeffs: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
-        self.coeffs = {k: v for k, v in dict(coeffs).items() if v != 0}
-
-    def _like(self, coeffs: dict) -> "FormalElement":
-        return FormalElement(coeffs)
+        cleaned = {}
+        for k, v in (coeffs if isinstance(coeffs, dict) else dict(coeffs)).items():
+            # True == 1, and a negative index would wrap round a table row.
+            if type(k) is not int or k < 0:
+                raise ValueError(f"basis index {k!r} is not an int >= 0")
+            if v != 0:
+                cleaned[k] = v
+        self.coeffs = cleaned
 
     @classmethod
     def basis(cls, i: int) -> "FormalElement":
@@ -90,7 +106,10 @@ class FormalElement(_SparseSum):
 
 
 class FormalTensor(_SparseSum):
-    """Sparse integer combination of basis index tuples of a fixed rank."""
+    """Sparse integer combination of basis index tuples of a fixed rank.
+
+    Each key must be a tuple of rank ints >= 0, or ValueError is raised.
+    """
 
     __slots__ = ("rank",)
 
@@ -101,15 +120,20 @@ class FormalTensor(_SparseSum):
     ):
         self.rank = rank
         cleaned = {}
-        for k, v in dict(coeffs).items():
-            if len(k) != rank:
-                raise ValueError(f"key {k} has rank {len(k)}, expected {rank}")
+        for k, v in (coeffs if isinstance(coeffs, dict) else dict(coeffs)).items():
+            if type(k) is not tuple or len(k) != rank:
+                raise ValueError(f"key {k!r} is not a tuple of {rank} basis indices")
+            for i in k:
+                if type(i) is not int or i < 0:
+                    raise ValueError(f"key {k!r} holds {i!r}, not an int >= 0")
             if v != 0:
-                cleaned[tuple(k)] = v
+                cleaned[k] = v
         self.coeffs = cleaned
 
     def _like(self, coeffs: dict) -> "FormalTensor":
-        return FormalTensor(self.rank, coeffs)
+        out = super()._like(coeffs)
+        out.rank = self.rank
+        return out
 
     def _matches(self, other: _SparseSum) -> bool:
         return type(other) is FormalTensor and other.rank == self.rank
@@ -165,7 +189,7 @@ class GroupHopfAlgebra:
             for j, cj in y.coeffs.items():
                 k = t[i][j]
                 out[k] = out.get(k, 0) + ci * cj
-        return FormalElement(out)
+        return x._like(out)
 
     def tensor_product_of(self, x: FormalTensor, y: FormalTensor) -> FormalTensor:
         """Componentwise product (a (x) b)(c (x) d) = ac (x) bd on rank-2 tensors."""
@@ -177,10 +201,10 @@ class GroupHopfAlgebra:
             for (c, d), cy in y.coeffs.items():
                 key = (t[a][c], t[b][d])
                 out[key] = out.get(key, 0) + cx * cy
-        return FormalTensor(2, out)
+        return x._like(out)
 
     def coproduct_of(self, x: FormalElement) -> FormalTensor:
-        return FormalTensor(2, {(i, i): c for i, c in x.coeffs.items()})
+        return FormalTensor(2)._like({(i, i): c for i, c in x.coeffs.items()})
 
     def counit_of(self, x: FormalElement) -> int:
         return sum(x.coeffs.values())
@@ -190,10 +214,10 @@ class GroupHopfAlgebra:
         for i, c in x.coeffs.items():
             k = self.antipode[i]
             out[k] = out.get(k, 0) + c
-        return FormalElement(out)
+        return x._like(out)
 
     def twist_of(self, x: FormalElement) -> FormalElement:
-        return FormalElement({self.alpha(i): c for i, c in x.coeffs.items()})
+        return x._like({self.alpha(i): c for i, c in x.coeffs.items()})
 
     def cotwist_of(self, x: FormalElement) -> FormalElement:
         return FormalElement(x.coeffs)

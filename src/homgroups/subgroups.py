@@ -13,7 +13,7 @@ no list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, TypeAlias, Union
 
 from .core import HomGroup, Side, _check_index, _closure, _prime_divisors
 
@@ -61,7 +61,9 @@ class Coset:
         return len(self.members)
 
 
-SubsetLike = Union[SubsetHandle, Iterable[int]]
+# A string for the reason core gives for TableLike: a typing.Union object
+# would keep this module alive after it is dropped from sys.modules.
+SubsetLike: TypeAlias = "Union[SubsetHandle, Iterable[int]]"
 
 
 def format_subset(members: Iterable[int]) -> str:

@@ -823,3 +823,27 @@ def test_library_imports_only_the_standard_library():
     roots = {name.partition(".")[0] for name in loaded}
     assert "homgroups" in roots
     assert not roots - {"homgroups"} - sys.stdlib_module_names
+
+
+def test_dropped_imports_of_the_library_are_freed():
+    # perfbench imports the library afresh on every set-up repeat, so an
+    # import dropped from sys.modules must not stay alive, as one did while
+    # typing's cache held a Union of the library's classes.
+    src = Path(homgroups.__file__).resolve().parents[1]
+    probe = (
+        "import gc, sys, types\n"
+        "def load():\n"
+        "    for name in [m for m in sys.modules if m.partition('.')[0] == 'homgroups']:\n"
+        "        del sys.modules[name]\n"
+        "    import homgroups, homgroups.cli\n"
+        "for _ in range(4):\n"
+        "    load()\n"
+        "gc.collect()\n"
+        "print(sum(isinstance(o, types.FunctionType) and o.__name__ == 'verify'\n"
+        "          and o.__module__ == 'homgroups.core' for o in gc.get_objects()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    live = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert live.split() == ["1"]

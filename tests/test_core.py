@@ -1,3 +1,4 @@
+import dataclasses
 from functools import cache
 
 import pytest
@@ -100,6 +101,20 @@ class TestCayleyTable:
     def test_symmetry(self, z6a, d3a):
         assert z6a.table.is_symmetric()
         assert not d3a.table.is_symmetric()
+
+
+def test_value_types_hold_no_attribute_dict():
+    # The labeled listing keeps one table per structure, 25,200 at order 8,
+    # so the value types are slotted.  The listing's tables come from
+    # HomGroup._from_verified, which bypasses the constructor.
+    listed = enumerate_hom_groups(SearchConfig(order=3))[0]
+    values = [CayleyTable(((0, 1), (1, 0))), Permutation((1, 0)), listed.table, listed.alpha]
+    for value in values:
+        assert not hasattr(value, "__dict__")
+        (field,) = dataclasses.fields(value)
+        for name in (field.name, "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(value, field.name))
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +99,35 @@ class TestFormalElements:
         s = FormalTensor.basis((1, 1)) + FormalTensor.basis((2, 2))
         t = FormalTensor(2, {(2, 2): 1, (1, 1): 1})
         assert s == t
+
+    # True == 1 would act as e1, and -1 would wrap round to the last row.
+    @pytest.mark.parametrize("key", [-1, -2, True, False, 1.0, "1", None])
+    def test_element_keys_must_be_basis_indices(self, key):
+        for coeffs in ({key: 1}, {key: 0}, [(key, 3)]):
+            with pytest.raises(ValueError, match=f"basis index {key!r} "):
+                FormalElement(coeffs)
+
+    @pytest.mark.parametrize("key", [3, (0, -1), (True, 0), (0, 1.0), ("0", 1), (0,), (0, 1, 2)])
+    def test_tensor_keys_must_be_tuples_of_basis_indices(self, key):
+        for coeffs in ({key: 1}, {key: 0}, [(key, 3)]):
+            with pytest.raises(ValueError, match=re.escape(f"key {key!r} ")):
+                FormalTensor(2, coeffs)
+
+    def test_given_dict_is_not_kept(self):
+        coeffs = {0: 1, 1: 0}
+        x = FormalElement(coeffs)
+        coeffs[2] = 5
+        assert x.coeffs == {0: 1}
+
+    def test_structure_maps_reject_indices_past_the_carrier(self, z5a):
+        A = build_group_hopf(z5a)
+        e1 = FormalElement.basis(1)
+        assert A.product_of(FormalElement.basis(4), e1) == FormalElement.basis(z5a.table.row(4)[1])
+        for bad in (FormalElement.basis(5), FormalElement({7: 3})):
+            with pytest.raises(IndexError):
+                A.product_of(bad, e1)
+            with pytest.raises(IndexError):
+                A.antipode_of(bad)
 
 
 class TestBuild:
