@@ -231,28 +231,22 @@ def twist(G: FiniteGroup, alpha: PermLike) -> HomGroup:
 
 
 def direct_product(G: HomGroup, H: HomGroup) -> HomGroup:
-    """Componentwise product on pairs, encoded row-major as i*|H| + j."""
-    tg, th = G.table.entries, H.table.entries
-    ag, ah = G.alpha.images, H.alpha.images
+    """Componentwise product on pairs, encoded row-major as i*|H| + j.
+
+    Row (i, j) of the table is row i of G paired with row j of H, and the
+    twist is G's twist paired with H's the same way.
+    """
     m = H.n
-    size = G.n * m
 
-    def enc(i: int, j: int) -> int:
-        return i * m + j
+    def pairs(xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(x * m + y for x in xs for y in ys)
 
-    table = [[0] * size for _ in range(size)]
-    for i in range(G.n):
-        for j in range(m):
-            row = table[enc(i, j)]
-            for i2 in range(G.n):
-                ti = tg[i][i2]
-                for j2 in range(m):
-                    row[enc(i2, j2)] = enc(ti, th[j][j2])
-    alpha = tuple(enc(ag[i], ah[j]) for i in range(G.n) for j in range(m))
+    table = tuple(pairs(rg, rh) for rg in G.table.entries for rh in H.table.entries)
     labels = None
     if G.labels is not None and H.labels is not None:
-        labels = [f"({G.labels[i]},{H.labels[j]})" for i in range(G.n) for j in range(m)]
-    return HomGroup(table, alpha, unit=enc(G.unit, H.unit), labels=labels)
+        labels = [f"({a},{b})" for a in G.labels for b in H.labels]
+    alpha = pairs(G.alpha.images, H.alpha.images)
+    return HomGroup(table, alpha, unit=G.unit * m + H.unit, labels=labels)
 
 
 # Stock tables, stored literally row by row; the twist is

@@ -33,6 +33,16 @@ def _check_exponent(k: int) -> None:
         raise ValueError(f"exponent {k!r} is not an int")
 
 
+def _cycle(images: Sequence[int], i: int) -> list[int]:
+    """The cycle through i of the permutation with these images, from i."""
+    cycle = [i]
+    j = images[i]
+    while j != i:
+        cycle.append(j)
+        j = images[j]
+    return cycle
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection on {0..n-1}, stored as its image sequence."""
@@ -82,11 +92,7 @@ class Permutation:
         if type(i) is not int or not 0 <= i < n:
             raise ValueError(f"index {i!r} outside 0..{n - 1}")
         _check_exponent(k)
-        cycle = [i]
-        j = self.images[i]
-        while j != i:
-            cycle.append(j)
-            j = self.images[j]
+        cycle = _cycle(self.images, i)
         return cycle[k % len(cycle)]
 
     def power(self, k: int) -> "Permutation":
@@ -94,19 +100,13 @@ class Permutation:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Orbit decomposition; each cycle starts at its smallest element."""
-        seen = [False] * len(self.images)
+        seen: set[int] = set()
         out = []
         for i in range(len(self.images)):
-            if seen[i]:
-                continue
-            cyc = [i]
-            seen[i] = True
-            j = self.images[i]
-            while j != i:
-                cyc.append(j)
-                seen[j] = True
-                j = self.images[j]
-            out.append(tuple(cyc))
+            if i not in seen:
+                cyc = tuple(_cycle(self.images, i))
+                seen.update(cyc)
+                out.append(cyc)
         return tuple(out)
 
     def cycle_type(self) -> tuple[int, ...]:
@@ -575,19 +575,15 @@ def power_orbit(G: HomGroup, x: int, side: Side = "right") -> PowerOrbit:
     """Sequence of powers of x on the chosen side.
 
     Multiplying by x permutes the carrier of a Latin square, so the powers
-    x, x^2, x^3, ... run round one cycle back to x: the walk stops there and
-    returns the period and the powers in order.
+    x, x^2, x^3, ... are the cycle through x of that permutation, read from
+    x: the period and the powers in order.
     """
     _check_index(G, x)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     # x^m * x is read down column x, x * x^m along row x.
     line = G.table.col(x) if side == "right" else G.table.row(x)
-    seq = [x]
-    cur = line[x]
-    while cur != x:
-        seq.append(cur)
-        cur = line[cur]
+    seq = _cycle(line, x)
     return PowerOrbit(period=len(seq), orbit=tuple(seq))
 
 

@@ -32,9 +32,10 @@ class _SparseSum:
 
     Results are built with _like(coeffs), which keeps the type and rank of
     the sum it is called on.  Their keys come from keys already checked or
-    from the structure tables, so _like drops zeros but checks no key; the
-    constructors check every key they are given.  Each subclass says with
-    _matches which sums it can be added to or equal.
+    from the structure tables, and sums and products of int coefficients
+    are ints, so _like drops zeros but checks nothing; the constructors
+    check every key and coefficient they are given, and scale its factor.
+    Each subclass says with _matches which sums it can be added to or equal.
     """
 
     __slots__ = ("coeffs",)
@@ -48,6 +49,8 @@ class _SparseSum:
         return type(other) is type(self)
 
     def scale(self, c: int) -> "_SparseSum":
+        if type(c) is not int:
+            raise ValueError(f"coefficient {c!r} is not an int")
         return self._like({k: c * v for k, v in self.coeffs.items()})
 
     def __add__(self, other: "_SparseSum") -> "_SparseSum":
@@ -74,8 +77,9 @@ class _SparseSum:
 class FormalElement(_SparseSum):
     """Sparse integer combination of basis indices; zeros are not stored.
 
-    Each key must be an int >= 0, or ValueError is raised; an index past
-    the carrier raises IndexError when a structure map reads it.
+    Each key must be an int >= 0 and each coefficient an int, or ValueError
+    is raised; an index past the carrier raises IndexError when a structure
+    map reads it.
     """
 
     __slots__ = ()
@@ -86,6 +90,9 @@ class FormalElement(_SparseSum):
             # True == 1, and a negative index would wrap round a table row.
             if type(k) is not int or k < 0:
                 raise ValueError(f"basis index {k!r} is not an int >= 0")
+            # 0.5 would make the sum inexact, and True is a bool posing as 1.
+            if type(v) is not int:
+                raise ValueError(f"coefficient {v!r} is not an int")
             if v != 0:
                 cleaned[k] = v
         self.coeffs = cleaned
@@ -108,7 +115,8 @@ class FormalElement(_SparseSum):
 class FormalTensor(_SparseSum):
     """Sparse integer combination of basis index tuples of a fixed rank.
 
-    Each key must be a tuple of rank ints >= 0, or ValueError is raised.
+    The rank must be an int >= 0, each key a tuple of rank ints >= 0 and
+    each coefficient an int, or ValueError is raised.
     """
 
     __slots__ = ("rank",)
@@ -118,6 +126,8 @@ class FormalTensor(_SparseSum):
         rank: int,
         coeffs: Union[Mapping[tuple[int, ...], int], Iterable[tuple[tuple[int, ...], int]]] = (),
     ):
+        if type(rank) is not int or rank < 0:
+            raise ValueError(f"rank {rank!r} is not an int >= 0")
         self.rank = rank
         cleaned = {}
         for k, v in (coeffs if isinstance(coeffs, dict) else dict(coeffs)).items():
@@ -126,6 +136,8 @@ class FormalTensor(_SparseSum):
             for i in k:
                 if type(i) is not int or i < 0:
                     raise ValueError(f"key {k!r} holds {i!r}, not an int >= 0")
+            if type(v) is not int:
+                raise ValueError(f"coefficient {v!r} is not an int")
             if v != 0:
                 cleaned[k] = v
         self.coeffs = cleaned

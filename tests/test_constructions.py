@@ -16,6 +16,7 @@ from homgroups import (
     inner_automorphism,
     is_abelian,
     is_automorphism,
+    relabel,
     twist,
     verify,
 )
@@ -259,14 +260,21 @@ class TestDirectProduct:
         assert is_abelian(direct_product(z3a, z6a))
 
     def test_pair_encoding_row_major(self, z3a, z6a):
-        P = direct_product(z3a, z6a)
-        for i in range(3):
-            for j in range(6):
-                for i2 in range(3):
-                    for j2 in range(6):
-                        got = P.table.entries[i * 6 + j][i2 * 6 + j2]
-                        want = z3a.table.entries[i][i2] * 6 + z6a.table.entries[j][j2]
-                        assert got == want
+        # The second factor has its unit at 3, so the product's unit is
+        # off 0 and does not sit at the first pair.
+        moved = relabel(z6a, (3, 1, 2, 0, 4, 5))
+        assert moved.unit == 3
+        for H in (z6a, moved):
+            P = direct_product(z3a, H)
+            assert P.unit == z3a.unit * 6 + H.unit
+            for i in range(3):
+                for j in range(6):
+                    assert P.alpha(i * 6 + j) == z3a.alpha(i) * 6 + H.alpha(j)
+                    for i2 in range(3):
+                        for j2 in range(6):
+                            got = P.table.entries[i * 6 + j][i2 * 6 + j2]
+                            want = z3a.table.entries[i][i2] * 6 + H.table.entries[j][j2]
+                            assert got == want
 
     def test_labels_combined(self, z3a):
         P = direct_product(z3a, z3a)

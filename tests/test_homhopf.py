@@ -88,6 +88,34 @@ class TestFormalElements:
         with pytest.raises(ValueError):
             FormalTensor(2, {(0, 1): 1}) + FormalTensor(3, {(0, 1, 2): 1})
 
+    # 2.0 == 2 and True == 1, so only the exact type keeps them out.
+    @pytest.mark.parametrize("rank", [2.0, True, False, -1, "2", None])
+    def test_tensor_rank_must_be_an_int(self, rank):
+        with pytest.raises(ValueError, match=re.escape(f"rank {rank!r} ")):
+            FormalTensor(rank, {(0, 1): 1})
+        with pytest.raises(ValueError, match=re.escape(f"rank {rank!r} ")):
+            FormalTensor(rank)
+
+    # 0.5 makes a sum inexact; True == 1 and 1.0 == 1 would pass as ints.
+    @pytest.mark.parametrize("c", [0.5, 1.0, 0.0, True, False, "1", None])
+    def test_coefficients_must_be_ints(self, c):
+        pattern = re.escape(f"coefficient {c!r} ")
+        for coeffs in ({0: 1, 1: c}, [(1, c)]):
+            with pytest.raises(ValueError, match=pattern):
+                FormalElement(coeffs)
+        for coeffs in ({(0, 1): c}, [((0, 1), c)]):
+            with pytest.raises(ValueError, match=pattern):
+                FormalTensor(2, coeffs)
+        for x in (FormalElement.basis(1), FormalTensor.basis((0, 1)), FormalElement.zero()):
+            with pytest.raises(ValueError, match=pattern):
+                x.scale(c)
+
+    def test_products_of_int_sums_stay_int(self, z3a):
+        A = build_group_hopf(z3a)
+        x = FormalElement({0: 2, 1: -1, 2: 3})
+        for out in (A.product_of(x, x), A.antipode_of(x), x.scale(-2), x - x.scale(3)):
+            assert all(type(v) is int for v in out.coeffs.values())
+
     @pytest.mark.parametrize("element_first", [True, False])
     def test_element_and_tensor_do_not_add(self, element_first):
         x, t = FormalElement.basis(1), FormalTensor.basis((1,))
