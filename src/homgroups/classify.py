@@ -347,7 +347,12 @@ def _conjugacy_representatives(autos: list[Permutation]) -> Iterator[Permutation
 
 
 def relabel(G: HomGroup, p: PermLike) -> HomGroup:
-    """Transport G along the relabeling p: new index p(i) plays old i."""
+    """Transport G along the relabeling p: new index p(i) plays old i.
+
+    p is then an isomorphism from G onto the result, which carries every
+    axiom of G over, so it is built without running verify; the inverse of
+    p(i) is p(inverse of i).
+    """
     p = _as_perm(p)
     if len(p) != G.n:
         raise ValueError(f"relabeling length {len(p)} != carrier size {G.n}")
@@ -358,9 +363,10 @@ def relabel(G: HomGroup, p: PermLike) -> HomGroup:
     table = tuple(
         tuple(im[t[pinv[i]][pinv[j]]] for j in range(n)) for i in range(n)
     )
-    alpha = tuple(im[G.alpha(pinv[i])] for i in range(n))
+    alpha = Permutation(tuple(im[G.alpha(pinv[i])] for i in range(n)))
     labels = None if G.labels is None else tuple(G.labels[pinv[i]] for i in range(n))
-    return HomGroup(table, alpha, unit=im[G.unit], labels=labels)
+    inverses = tuple(im[G.inverses[pinv[i]]] for i in range(n))
+    return HomGroup._from_verified(table, alpha, im[G.unit], labels, inverses)
 
 
 def canonical_form(G: HomGroup) -> HomGroup:
@@ -371,9 +377,13 @@ def canonical_form(G: HomGroup) -> HomGroup:
     same table, so the minimum is taken over the one ordering per orbit
     that _relabelings builds.  Idempotent, and two Hom-groups are
     isomorphic exactly when their canonical tables coincide.
+
+    The least table is that of a relabeling of G with unit 0, so it is a
+    Hom-group whose twist is its unit row, built without running verify.
     """
     rows = min(table for _, _, table in _relabelings(G, automorphisms_of(G)))
-    return HomGroup(rows, rows[0], unit=0)
+    inverses = tuple(row.index(0) for row in rows)
+    return HomGroup._from_verified(rows, Permutation(rows[0]), 0, None, inverses)
 
 
 def are_isomorphic(G: HomGroup, H: HomGroup) -> Optional[Permutation]:

@@ -13,8 +13,9 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import classify as _classify
 from . import constructions as _constructions
@@ -22,9 +23,11 @@ from . import homhopf as _homhopf
 from . import subgroups as _subgroups
 from .core import (
     AxiomReport,
+    CayleyTable,
     HomGroup,
     InvalidStructureError,
     Permutation,
+    _checked_table,
     verify,
 )
 from .subgroups import format_subset
@@ -40,8 +43,8 @@ TAG_NOT_AUTOMORPHISM = "not-automorphism"
 LIST_AUTOS_GUARD = 10**6
 # Largest zn:K or dn:K carrier `twist --group` builds without --force.  Time
 # and memory grow with its square: on a 2-core machine `--conjugate 0` took
-# 0.2 s and 47 MB at 512 elements, 1.0-1.7 s and 148 MB at 1,024, and 6.7 s
-# and 560 MB at 2,048.
+# 0.1 s and 30 MB at 512 elements, 0.3-0.6 s and 73-99 MB at 1,024 (zn:1024,
+# dn:512), and 1.4 s and 250 MB at 2,048.
 _OPERAND_GUARD = 1024
 
 EXIT_OK = 0
@@ -104,16 +107,16 @@ def parse_document(path: str) -> dict:
     if sorted(alpha) != list(range(order)):
         raise DocumentError(f"{path}: alpha must be a permutation of 0..{order - 1}")
     table = doc["table"]
+    # The entry tests are set operations, which run at C speed; the table
+    # has at least one entry, so its set of types is never empty.
     if (
         not isinstance(table, list)
         or len(table) != order
-        or not all(
-            isinstance(row, list) and len(row) == order and all(type(v) is int for v in row)
-            for row in table
-        )
+        or not all(isinstance(row, list) and len(row) == order for row in table)
+        or set(map(type, chain.from_iterable(table))) != {int}
     ):
         raise DocumentError(f"{path}: table must be a {order}x{order} integer matrix")
-    if min(map(min, table)) < 0 or max(map(max, table)) >= order:
+    if not set(chain.from_iterable(table)) <= set(range(order)):
         raise DocumentError(f"{path}: table entries must lie in 0..{order - 1}")
     labels = doc.get("labels")
     if labels is not None and (
@@ -125,8 +128,15 @@ def parse_document(path: str) -> dict:
     return doc
 
 
+def _document_table(doc: dict) -> CayleyTable:
+    """The table of a document that parse_document accepted: it has checked
+    the shape, types and range, so the rows are not scanned again."""
+    return _checked_table(tuple(map(tuple, doc["table"])))
+
+
 def document_to_hom_group(doc: dict) -> HomGroup:
-    return HomGroup(doc["table"], doc["alpha"], unit=doc["unit"], labels=doc.get("labels"))
+    """The verified structure of a document that parse_document accepted."""
+    return HomGroup(_document_table(doc), doc["alpha"], unit=doc["unit"], labels=doc.get("labels"))
 
 
 def hom_group_to_document(G: HomGroup) -> dict:
@@ -142,7 +152,22 @@ def hom_group_to_document(G: HomGroup) -> dict:
 
 
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2)
+    """json.dumps(doc, indent=2), byte for byte, for a document as
+    hom_group_to_document builds it.
+
+    With indent set, json.dumps runs its pure-Python encoder, so the text
+    is joined here instead.  Integers print as str does, and each label
+    goes through json.dumps, whose escapes come from the C encoder.
+    """
+
+    def block(items: Iterable[str], pad: str = "\n  ") -> str:
+        return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]"
+
+    rows = (block(map(str, row), "\n    ") for row in doc["table"])
+    fields = {**doc, "alpha": block(map(str, doc["alpha"])), "table": block(rows)}
+    if "labels" in doc:
+        fields["labels"] = block(map(json.dumps, doc["labels"]))
+    return "{" + ",".join(f'\n  "{key}": {text}' for key, text in fields.items()) + "\n}"
 
 
 def load_hom_group(path: str) -> HomGroup:
@@ -230,7 +255,7 @@ def _load_group_operand(args: argparse.Namespace) -> HomGroup:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = parse_document(args.path)
-    report = verify(doc["table"], doc["alpha"], doc["unit"])
+    report = verify(_document_table(doc), doc["alpha"], doc["unit"])
     print(f"order: {doc['order']}")
     for line in report_lines(report):
         print(line)
@@ -320,11 +345,12 @@ def cmd_cauchy(args: argparse.Namespace) -> int:
 def cmd_twist(args: argparse.Namespace) -> int:
     G = _load_group_operand(args)
     if args.list_autos:
-        size = _constructions.automorphism_search_size(G)
+        profile = _constructions._profile(G)  # one profile for the guard and the search
+        size = _constructions._search_size(profile)
         if size > LIST_AUTOS_GUARD and not args.force:
             msg = f"automorphism search may try {size} generator images, over the guard"
             raise CliFailure(f"{msg} of {LIST_AUTOS_GUARD}; pass --force to run it", TAG_GUARD)
-        for p in _constructions.automorphisms_of(G):
+        for p in _constructions.automorphisms_of(G, profile):
             print(",".join(str(v) for v in p.images))
         return EXIT_OK
     if args.conjugate is not None:
@@ -351,7 +377,8 @@ def cmd_hopf(args: argparse.Namespace) -> int:
         ok = all(G.n % d == 0 for d in dims)
         print(f"all divide |G|: {'true' if ok else 'false'}")
         return EXIT_OK
-    report = _homhopf.verify_hom_hopf(_homhopf.build_group_hopf(G))
+    # Loading verified the table, twist and unit, so only the antipode laws are left.
+    report = _homhopf.verify_hom_hopf(_homhopf.build_group_hopf(G), axioms=AxiomReport(()))
     for line in report_lines(report):
         print(line)
     if not report.valid:

@@ -9,6 +9,7 @@ that intertwines the twists, so the images of generators fix it.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterator
 
 from .core import (
@@ -35,11 +36,19 @@ class NotAutomorphismError(ValueError):
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    """Additive cyclic group of order n on {0..n-1}."""
+    """Additive cyclic group of order n on {0..n-1}.
+
+    Row i is the rotation of 0..n-1 that starts at i, and the inverse of i
+    is -i mod n.  Addition mod n is a group law with unit 0, so the table
+    is built without running verify.
+    """
     if type(n) is not int or n < 1:
         raise ValueError(f"order must be an integer >= 1, got {n!r}")
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return FiniteGroup(table, unit=0, labels=[str(i) for i in range(n)])
+    r = tuple(range(n))
+    table = tuple(r[i:] + r[:i] for i in r)
+    inverses = tuple(-i % n for i in r)
+    labels = tuple(map(str, r))
+    return FiniteGroup._from_verified(table, Permutation(r), 0, labels, inverses)
 
 
 def _rot_label(i: int, flip: bool) -> str:
@@ -53,21 +62,22 @@ def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n.
 
     Elements are ordered 1, r, r^2, ..., r^(n-1), s, rs, r^2 s, ... with
-    the relations r^n = s^2 = 1 and s r = r^-1 s.
+    the relations r^n = s^2 = 1 and s r = r^-1 s, so r^i has index i and
+    r^i s index n + i.  Then r^i r^j = r^(i+j), r^i r^j s = r^(i+j) s,
+    r^i s r^j = r^(i-j) s and r^i s r^j s = r^(i-j), which give the rows;
+    r^i has inverse r^-i, and every r^i s is its own inverse.  This is the
+    group that the relations present, with unit 1, so the table is built
+    without running verify.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"rotation order must be an integer >= 1, got {n!r}")
-
-    def prod(a: int, b: int) -> int:
-        i, e = a % n, a // n
-        j, f = b % n, b // n
-        k = (i - j) % n if e else (i + j) % n
-        return k + n * (e ^ f)
-
-    m = 2 * n
-    table = tuple(tuple(prod(a, b) for b in range(m)) for a in range(m))
-    labels = [_rot_label(i, False) for i in range(n)] + [_rot_label(i, True) for i in range(n)]
-    return FiniteGroup(table, unit=0, labels=labels)
+    r = range(n)
+    rotations, reflections = ([tuple((i + e * j) % n for j in r) for i in r] for e in (1, -1))
+    flip = lambda row: tuple(k + n for k in row)  # r^k -> r^k s
+    table = tuple(x + flip(x) for x in rotations) + tuple(flip(x) + x for x in reflections)
+    inverses = tuple(-i % n for i in r) + tuple(range(n, 2 * n))
+    labels = tuple(_rot_label(i, False) for i in r) + tuple(_rot_label(i, True) for i in r)
+    return FiniteGroup._from_verified(table, Permutation.identity(2 * n), 0, labels, inverses)
 
 
 def is_automorphism(G: FiniteGroup, f: PermLike) -> bool:
@@ -175,22 +185,22 @@ def _isomorphisms(G: HomGroup, H: HomGroup, pg=(), kh=()) -> Iterator[Permutatio
     yield from extend(0)
 
 
-def automorphisms_of(G: HomGroup) -> list[Permutation]:
+def automorphisms_of(G: HomGroup, profile: tuple = ()) -> list[Permutation]:
     """All automorphisms of G, sorted by image sequence.
 
     For a group these are its group automorphisms; for a twisted structure
     they are the automorphisms of its untwisted group that commute with
-    the twist.
+    the twist.  profile is G's _profile, computed here when left empty.
     """
-    p = _profile(G)
+    p = profile or _profile(G)
     return sorted(_isomorphisms(G, G, p, p[1:]), key=lambda f: f.images)
 
 
-def automorphism_search_size(G: HomGroup) -> int:
-    """The most generator-image tuples automorphisms_of(G) may try: the
-    product over G's generators of the number of elements sharing each
-    generator's key."""
-    gens, keys, _ = _profile(G)
+def _search_size(profile: tuple) -> int:
+    """The most generator-image tuples automorphisms_of(G) may try, from
+    G's _profile: the product over G's generators of the number of
+    elements sharing each generator's key."""
+    gens, keys, _ = profile
     return math.prod(keys.count(keys[g]) for g in gens)
 
 
@@ -223,8 +233,10 @@ def twist(G: FiniteGroup, alpha: PermLike) -> HomGroup:
     witness = _multiplicativity_witness(G.table.entries, alpha.images)
     if witness is not None:
         raise NotAutomorphismError(witness)
-    im = alpha.images
-    twisted = tuple(tuple(map(im.__getitem__, row)) for row in G.table.entries)
+    t = G.table.entries
+    # A getter of one index returns a bare item, not a 1-tuple; at n = 1
+    # the only twist is the identity, which leaves the table as it is.
+    twisted = tuple(itemgetter(*row)(alpha.images) for row in t) if G.n > 1 else t
     if not G.alpha.is_identity:
         raise InvalidStructureError(verify(twisted, alpha, G.unit))
     return HomGroup._from_verified(twisted, alpha, G.unit, G.labels, G.inverses)
@@ -234,7 +246,12 @@ def direct_product(G: HomGroup, H: HomGroup) -> HomGroup:
     """Componentwise product on pairs, encoded row-major as i*|H| + j.
 
     Row (i, j) of the table is row i of G paired with row j of H, and the
-    twist is G's twist paired with H's the same way.
+    twist is G's twist paired with H's the same way.  Each Hom-group
+    axiom holds on pairs because it holds in each factor: a row or column
+    of pairs is a pair of bijections, and the unit, twist and associativity
+    laws are identities checked componentwise.  (g, h)*(x, y) is the unit
+    exactly when g*x and h*y are, so the inverses are the pairs of the
+    factors' inverses, and the product is built without running verify.
     """
     m = H.n
 
@@ -244,9 +261,10 @@ def direct_product(G: HomGroup, H: HomGroup) -> HomGroup:
     table = tuple(pairs(rg, rh) for rg in G.table.entries for rh in H.table.entries)
     labels = None
     if G.labels is not None and H.labels is not None:
-        labels = [f"({a},{b})" for a in G.labels for b in H.labels]
-    alpha = pairs(G.alpha.images, H.alpha.images)
-    return HomGroup(table, alpha, unit=G.unit * m + H.unit, labels=labels)
+        labels = tuple(f"({a},{b})" for a in G.labels for b in H.labels)
+    alpha = Permutation(pairs(G.alpha.images, H.alpha.images))
+    inverses = pairs(G.inverses, H.inverses)
+    return HomGroup._from_verified(table, alpha, G.unit * m + H.unit, labels, inverses)
 
 
 # Stock tables, stored literally row by row; the twist is

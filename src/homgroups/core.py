@@ -96,7 +96,15 @@ class Permutation:
         return cycle[k % len(cycle)]
 
     def power(self, k: int) -> "Permutation":
-        return Permutation(tuple(self.apply(i, k) for i in range(len(self.images))))
+        """The k-th iterate, from one walk of each cycle: within a cycle it
+        is the shift by k modulo the cycle's length."""
+        _check_exponent(k)
+        images = list(self.images)
+        for cyc in self.cycles():
+            s = k % len(cyc)
+            for x, y in zip(cyc, cyc[s:] + cyc[:s]):
+                images[x] = y
+        return Permutation(tuple(images))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Orbit decomposition; each cycle starts at its smallest element."""
@@ -187,6 +195,15 @@ class AxiomReport:
 # module alive after it is dropped from sys.modules.
 TableLike: TypeAlias = "Union[CayleyTable, Sequence[Sequence[int]]]"
 PermLike: TypeAlias = "Union[Permutation, Sequence[int]]"
+
+
+def _checked_table(entries: tuple[tuple[int, ...], ...]) -> CayleyTable:
+    """A CayleyTable of rows the caller has already checked, without the
+    range scan of CayleyTable's constructor: entries must be a tuple of n
+    int tuples of length n, each entry in 0..n-1."""
+    table = object.__new__(CayleyTable)
+    object.__setattr__(table, "entries", entries)
+    return table
 
 
 def _as_table(table: TableLike) -> CayleyTable:
@@ -309,9 +326,10 @@ def _untwisted_is_associative(t: Sequence[Sequence[int]], a: Sequence[int], unit
     """
     n = len(t)
     a_inv = sorted(range(n), key=a.__getitem__)  # a_inv[a[i]] = i
-    u = [tuple(map(a_inv.__getitem__, row)) for row in t]
-    # No generator is picked at n = 1, so each getter below has n >= 2
-    # indices and returns a tuple, never a bare item.
+    # No generator is picked at n = 1, so u, whose one row is then a bare
+    # item, is never read, and each getter has n >= 2 indices and returns a
+    # tuple.
+    u = [itemgetter(*row)(a_inv) for row in t]
     for g in _greedy_generators(t, unit):
         # (x.g).y = x.(g.y) for every y, one row of . per x.
         at_dot_g = itemgetter(*u[g])  # row x of . -> (x.(g.y) for each y)
@@ -319,6 +337,21 @@ def _untwisted_is_associative(t: Sequence[Sequence[int]], a: Sequence[int], unit
             if u[row[g]] != at_dot_g(row):
                 return False
     return True
+
+
+def _repeat_witness(lines: Iterable[Sequence[int]], n: int) -> Optional[tuple[int, int, int]]:
+    """(line, earlier position, first repeated position) for the first line
+    with a repeated entry, or None.
+
+    Entries lie in 0..n-1, so a line repeats one exactly when its set is
+    smaller than n; the set test runs at C speed and the scan only on a hit.
+    The witness is the first position q whose entry occurred before, at p.
+    """
+    for i, line in enumerate(lines):
+        if len(set(line)) < n:
+            q = next(q for q, v in enumerate(line) if line.index(v) < q)
+            return (i, line.index(line[q]), q)
+    return None
 
 
 def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
@@ -330,12 +363,16 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
     existence plus two-sidedness of inverses.  Each violated axiom is
     reported once with its minimal witness.
 
-    Once every earlier check has passed, twisted associativity is the
-    associativity of the untwisted product g.h = alpha^-1(g*h), which
-    Light's test settles from a generating set, in O(n^2 log n) on a
-    Hom-group.  The scan over all n^3 triples runs only after an earlier
-    check or Light's test has failed, to find the lexicographically first
-    failing triple.
+    Once the rows are Latin and the unit and twist checks have passed,
+    twisted associativity is the associativity of the untwisted product
+    g.h = alpha^-1(g*h), which Light's test settles from a generating set,
+    in O(n^2 log n) on a Hom-group.  When that test passes too, the columns
+    and inverses need no scan: . is then a finite monoid whose left
+    translations are bijections, hence a group, so its right translations,
+    and with them the columns of *, are bijections too; and g*x = unit
+    gives g.x = unit, so x.g = unit and x*g = alpha(unit) = unit.  After
+    any failure every check runs, and the scan over all n^3 triples finds
+    the lexicographically first failing triple.
     """
     table = _as_table(table)
     alpha = _as_perm(alpha)
@@ -346,36 +383,28 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
     if type(unit) is not int or not 0 <= unit < n:
         raise ValueError(f"unit {unit!r} outside 0..{n - 1}")
     a = alpha.images
-    cols = tuple(zip(*t))
-    violations: list[tuple[str, tuple[int, ...]]] = []
+    rows = _repeat_witness(t, n)
 
-    # Entries lie in 0..n-1, so a line repeats one exactly when its set is
-    # smaller than n; the set test runs at C speed and the scan only on a hit.
-    # The witness is the first position q whose entry occurred before, at p.
-    for tag, lines in (("latin-row", t), ("latin-col", cols)):
-        for i, line in enumerate(lines):
-            if len(set(line)) < n:
-                q = next(q for q, v in enumerate(line) if line.index(v) < q)
-                violations.append((tag, (i, line.index(line[q]), q)))
-                break
-
+    twist_laws: list[tuple[str, tuple[int, ...]]] = []
     if a[unit] != unit:
-        violations.append(("unit-fixed", (unit,)))
-
-    for tag, line in (("unit-row", t[unit]), ("unit-col", cols[unit])):
+        twist_laws.append(("unit-fixed", (unit,)))
+    for tag, line in (("unit-row", t[unit]), ("unit-col", tuple(row[unit] for row in t))):
         if line != a:
-            violations.append((tag, (next(j for j in range(n) if line[j] != a[j]),)))
-
+            twist_laws.append((tag, (next(j for j in range(n) if line[j] != a[j]),)))
     hit = _multiplicativity_witness(t, a)
     if hit is not None:
-        violations.append(("twist-multiplicative", hit))
+        twist_laws.append(("twist-multiplicative", hit))
 
-    # Light's test relies on the checks above; after any failure, or when it
-    # fails, the scan finds the first failing triple.
-    if violations or not _untwisted_is_associative(t, a, unit):
-        hit3 = _hom_associativity_witness(t, a)
-        if hit3 is not None:
-            violations.append(("hom-associativity", hit3))
+    # Light's test relies on the checks above.
+    if rows is None and not twist_laws and _untwisted_is_associative(t, a, unit):
+        return AxiomReport(())
+
+    cols = _repeat_witness(zip(*t), n)
+    violations = [(tag, w) for tag, w in (("latin-row", rows), ("latin-col", cols)) if w]
+    violations += twist_laws
+    hit3 = _hom_associativity_witness(t, a)
+    if hit3 is not None:
+        violations.append(("hom-associativity", hit3))
 
     missing = asym = None
     for g, row in enumerate(t):
@@ -443,10 +472,9 @@ class HomGroup:
         tuple of n strings or None, and inverses[g] the column of unit in
         row g.
         """
-        table = object.__new__(CayleyTable)
-        object.__setattr__(table, "entries", entries)
         G = object.__new__(cls)
-        G.table, G.alpha, G.unit, G.labels, G.inverses = table, alpha, unit, labels, inverses
+        G.table, G.alpha, G.unit = _checked_table(entries), alpha, unit
+        G.labels, G.inverses = labels, inverses
         return G
 
     @property

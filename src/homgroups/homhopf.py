@@ -21,7 +21,7 @@ combinations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .core import AxiomReport, CayleyTable, HomGroup, Permutation, _as_perm, _as_table, verify
 from .subgroups import center, enumerate_hom_subgroups
@@ -240,7 +240,7 @@ def build_group_hopf(G: HomGroup) -> GroupHopfAlgebra:
     return GroupHopfAlgebra(product=G.table, unit=G.unit, antipode=G.inverses, alpha=G.alpha)
 
 
-def verify_hom_hopf(A: GroupHopfAlgebra) -> AxiomReport:
+def verify_hom_hopf(A: GroupHopfAlgebra, axioms: Optional[AxiomReport] = None) -> AxiomReport:
     """Check the twisted Hopf axioms on the Cayley table.
 
     Every structure map sends basis elements to basis elements, so each
@@ -259,7 +259,9 @@ def verify_hom_hopf(A: GroupHopfAlgebra) -> AxiomReport:
     is its hom-associativity witness, and algebra-unit is (u,) when
     unit-fixed is reported, else the least of the unit-row and unit-col
     witnesses.  Only the antipode laws are checked here, since the antipode
-    is data that the table does not fix.
+    is data that the table does not fix.  A caller that already holds that
+    report, as the CLI does for a structure it loaded, passes it as axioms,
+    and core.verify does not run again.
 
     The other eight identities (coassociativity, counit, coproduct-product,
     coproduct-unit, counit-product, counit-unit, counit-twist and
@@ -271,11 +273,11 @@ def verify_hom_hopf(A: GroupHopfAlgebra) -> AxiomReport:
     t = A.product.entries
     s = A.antipode
     u = A.unit
-    axioms = dict(verify(A.product, A.alpha, u).violations)
-    unit_lines = [axioms[tag] for tag in ("unit-row", "unit-col") if tag in axioms]
-    unit_hit = (u,) if "unit-fixed" in axioms else min(unit_lines, default=None)
+    laws = dict((verify(A.product, A.alpha, u) if axioms is None else axioms).violations)
+    unit_lines = [laws[tag] for tag in ("unit-row", "unit-col") if tag in laws]
+    unit_hit = (u,) if "unit-fixed" in laws else min(unit_lines, default=None)
     witnesses = (
-        ("algebra-assoc", axioms.get("hom-associativity")),
+        ("algebra-assoc", laws.get("hom-associativity")),
         ("algebra-unit", unit_hit),
         ("antipode", next(((g,) for g in range(A.n) if t[s[g]][g] != u or t[g][s[g]] != u), None)),
         ("antipode-unit", (u,) if s[u] != u else None),

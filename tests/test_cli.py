@@ -589,7 +589,29 @@ class TestCayleyCommand:
         assert out.rstrip().splitlines()[-1] == "error: usage-error"
 
 
+# Labels with the characters JSON escapes: quote, backslash, control
+# characters, DEL and text outside ASCII, one character past the BMP.
+ESCAPED_CHARS = '"\\/\x00\x01\x1f\x7f\n\t aZ9\u00e9\u2603\U0001f600'
+LABELS = st.text(st.sampled_from(ESCAPED_CHARS), max_size=4) | st.text(max_size=3)
+
+
 class TestDocumentLayer:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_writer_matches_json_dumps(self, data):
+        n = data.draw(st.integers(1, 12))
+        index = st.integers(0, n - 1)
+        row = st.lists(index, min_size=n, max_size=n)
+        doc = {
+            "order": n,
+            "unit": data.draw(index),
+            "alpha": data.draw(st.permutations(range(n))),
+            "table": data.draw(st.lists(row, min_size=n, max_size=n)),
+        }
+        if data.draw(st.booleans()):
+            doc["labels"] = data.draw(st.lists(LABELS, min_size=n, max_size=n))
+        assert dumps_document(doc) == json.dumps(doc, indent=2)
+
     def test_roundtrip_fixtures(self, tmp_path, stock_fixture):
         path = tmp_path / "g.json"
         path.write_text(dumps_document(hom_group_to_document(stock_fixture)))

@@ -8,6 +8,7 @@ from homgroups import (
     Permutation,
     SearchConfig,
     automorphisms_of,
+    canonical_form,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -57,6 +58,50 @@ class TestGroups:
 
     def test_dihedral_labels(self):
         assert dihedral_group(3).labels == ("1", "r", "r^2", "s", "rs", "r^2s")
+
+
+def _dihedral_by_pairs(k):
+    """D_k with r^i s^e at index i + k*e, multiplied as pairs: s r = r^-1 s."""
+
+    def prod(a, b):
+        (e, i), (f, j) = divmod(a, k), divmod(b, k)
+        return (i + (-1) ** e * j) % k + k * ((e + f) % 2)
+
+    return tuple(tuple(prod(a, b) for b in range(2 * k)) for a in range(2 * k))
+
+
+class TestBuiltWithoutVerify:
+    """The stock groups, direct products and relabelings are built from
+    closed forms, with no verify; each must equal what the public
+    constructor builds from the same table, and its inverses too."""
+
+    @staticmethod
+    def assert_as_constructed(G):
+        if isinstance(G, FiniteGroup):
+            H = FiniteGroup(G.table.entries, G.unit, G.labels)
+        else:
+            H = HomGroup(G.table.entries, G.alpha, G.unit, G.labels)
+        assert type(H) is type(G) and H == G and H.inverses == G.inverses
+
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_stock_groups(self, k):
+        Z, D = cyclic_group(k), dihedral_group(k)
+        assert Z.table.entries == tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
+        assert D.table.entries == _dihedral_by_pairs(k)
+        for G in (Z, D):
+            self.assert_as_constructed(G)
+
+    def test_direct_products(self, z3a):
+        stock = [build(k) for k in range(1, 6) for build in (cyclic_group, dihedral_group)]
+        for G in stock + [z3a]:
+            for H in stock + [z3a, relabel(z3a, (2, 0, 1))]:
+                self.assert_as_constructed(direct_product(G, H))
+
+    def test_relabelings_and_canonical_forms(self, twists_of):
+        for G in (*twists_of("zn", 8), *twists_of("dn", 4), fixture("d3a")):
+            moved = relabel(G, [(i + 1) % G.n for i in range(G.n)])  # the unit moves to 1
+            for H in (moved, canonical_form(moved)):
+                self.assert_as_constructed(H)
 
 
 class TestTwist:

@@ -1,5 +1,6 @@
 import dataclasses
 from functools import cache
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +68,22 @@ class TestPermutation:
         p = Permutation(tuple(images))
         q = p.power(k)
         assert all(p.apply(i, k) == q(i) for i in range(len(p)))
+
+    @given(perm_images, st.integers(min_value=-3, max_value=3))
+    def test_power_matches_repeated_compose(self, images, k):
+        p = Permutation(tuple(images))
+        step = p if k >= 0 else p.inverse()
+        q = Permutation.identity(len(p))
+        for _ in range(abs(k)):
+            q = step.compose(q)
+        assert p.power(k) == q
+
+    def test_power_of_one_long_cycle(self):
+        # one walk per cycle: linear in n, where a walk per element was quadratic
+        n = 2000
+        p = Permutation(tuple((i + 1) % n for i in range(n)))
+        for k in range(-3, 4):
+            assert p.power(k).images == tuple((i + k) % n for i in range(n))
 
     @pytest.mark.parametrize("i", [-3, -1, 3, True, 1.0, "1"])
     def test_apply_rejects_bad_index(self, i):
@@ -191,6 +208,24 @@ class TestVerify:
             FiniteGroup(((0, 1), (1, 0)), unit)
 
 
+def _unit_magmas(n, loops):
+    """Every table on 0..n-1 with two-sided unit 0 and Latin rows, as row
+    tuples; with loops set, only those whose columns are Latin too."""
+    rows = [[p for p in permutations(range(n)) if p[0] == i] for i in range(n)]
+    out = []
+
+    def extend(chosen):
+        if len(chosen) == n:
+            out.append(tuple(chosen))
+            return
+        for row in rows[len(chosen)]:
+            if not loops or all(row[j] != other[j] for other in chosen for j in range(n)):
+                extend(chosen + [row])
+
+    extend([tuple(range(n))])
+    return out
+
+
 # An order-5 loop that is not a group; its unit row is the identity.
 LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1), (3, 4, 1, 2, 0), (4, 2, 0, 1, 3))
 
@@ -211,6 +246,32 @@ class TestVerifyAgainstScan:
             )
             seen.update(report.tags())
         assert "hom-associativity" in seen and "twist-multiplicative" in seen
+
+    def test_rows_unit_and_twist_pass_but_columns_or_associativity_fail(self):
+        # verify accepts on Light's test once the rows are Latin and the unit
+        # and twist checks pass, without scanning columns or inverses.  Every
+        # order-4 product with unit 0 and Latin rows, and every order-5 loop
+        # with unit 0, is twisted here by each map fixing 0 that is one of its
+        # automorphisms: the row, unit and twist checks pass on each, while
+        # the columns or associativity fail on many.
+        seen = set()
+        for n, loops in ((4, False), (5, True)):
+            for u in _unit_magmas(n, loops):
+                for rest in permutations(range(1, n)):
+                    a = (0, *rest)
+                    if any(a[u[x][y]] != u[a[x]][a[y]] for x in range(n) for y in range(n)):
+                        continue
+                    table = [[a[v] for v in row] for row in u]
+                    report = verify(table, a, 0)
+                    assert list(report.violations) == axiom_violations_by_scan(table, a, 0), (
+                        table, a,
+                    )
+                    assert not {"latin-row", "unit-row", "unit-col"} & set(report.tags())
+                    assert "twist-multiplicative" not in report.tags()
+                    seen.add(report.tags())
+        assert () in seen  # the groups
+        assert any("latin-col" in tags for tags in seen)
+        assert ("hom-associativity",) in seen  # loops that are no group
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())

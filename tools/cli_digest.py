@@ -2,8 +2,8 @@
 
 The corpus is built from closed forms, not from the library: the cyclic
 groups Z_k and dihedral groups D_k for k <= 16 and Z2 x Z4, each twisted
-by a few automorphisms given by formula, plus malformed documents and
-command lines that must fail.  Every command runs in this process through
+by a few automorphisms given by formula, Z4 with labels that JSON must
+escape, plus malformed documents and command lines that must fail.  Every command runs in this process through
 homgroups.cli.main, the only name imported from the package.  For each
 command the tool prints the sha256 of its stdout followed by its exit
 code, then one total line over all of them.  stderr is left out, because
@@ -118,6 +118,16 @@ def valid_documents() -> list[tuple[str, dict, str]]:
     for m, alpha in enumerate(_z2_z4_autos()):
         out.append((f"z2z4_{m}.json", _document(_z2_z4(), alpha), "0,2,4,6"))
     return out
+
+
+ESCAPED = "z4_escaped.json"
+
+
+def escaped_document() -> dict:
+    """Z4 with the identity twist, so a group, labeled with a quote, a
+    backslash, control characters, DEL and text outside ASCII."""
+    labels = ["1", 'q"', "b\\s", "\t\x01\x7f\u00e9\U0001f600"]
+    return {"order": 4, "unit": 0, "alpha": [0, 1, 2, 3], "table": _cyclic(4), "labels": labels}
 
 
 _LOOP5 = [  # a Latin square with unit 0 that is no group
@@ -238,6 +248,8 @@ def commands() -> list[list[str]]:
         ["hopf", "zn6_1.json"],
         ["cayley", "zn6_1.json", "--format", "xml"],
         ["unknown-command"],
+        ["cayley", ESCAPED, "--format", "json"],
+        ["twist", "--group", ESCAPED, "--auto", "0,3,2,1"],
     ]
     return cmds
 
@@ -256,6 +268,7 @@ def outputs(workdir: Path) -> list[tuple[list[str], str, int]]:
         (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
     for name, data in other_documents().items():
         (workdir / name).write_bytes(data)
+    (workdir / ESCAPED).write_text(json.dumps(escaped_document()), encoding="utf-8")
     here = os.getcwd()
     os.chdir(workdir)
     try:
