@@ -156,10 +156,12 @@ def _extensions(N: FiniteGroup, p: int) -> Iterator[FiniteGroup]:
     Element t^i x has index i*|N| + x.  Since x t^j = t^j phi^-j(x), the
     product (t^i x)(t^j y) is t^(i+j) phi^-j(x) y, with t^p replaced by a.
     The table is a group exactly when t commutes with t^p, phi(a) = a, and
-    conjugation by t^p is conjugation by a, phi^p = inner(a); only those
-    (phi, a) are built, and FiniteGroup still checks each table.
+    conjugation by t^p is conjugation by a, phi^p = inner(a).  Only those
+    (phi, a) are built, so each table is a group, whose unit t^0 times N's
+    unit 0 has index 0, and it is built without running verify.
     """
     m, t = N.n, N.table.entries
+    identity = Permutation.identity(p * m)
     inner = [inner_automorphism(N, a) for a in range(m)]
     for phi in automorphisms_of(N):
         back = [phi.power(-j).images for j in range(p)]
@@ -176,7 +178,7 @@ def _extensions(N: FiniteGroup, p: int) -> Iterator[FiniteGroup]:
                 for i in range(p)
                 for x in range(m)
             )
-            yield FiniteGroup(table)
+            yield FiniteGroup._from_verified(table, identity, 0, None)
 
 
 def _groups(n: int, stats: ClassifyStats) -> list[FiniteGroup]:
@@ -295,7 +297,6 @@ def _listing(pairs: _Pairs, include_groups: bool, stats: ClassifyStats) -> list[
             stats.group_tables += 1
             beta_of = itemgetter(*o, 0)  # p alpha -> p alpha p^-1
             twisted_of = itemgetter(*chain.from_iterable(table), 0)  # beta -> beta(table)
-            inverses = tuple(row.index(0) for row in table)
             for p_alpha in p_alpha_of:
                 rs = rows_of(twisted_of(beta_of(p_alpha(p))))
                 shared = tuple(map(rows_seen.setdefault, rs, rs))
@@ -303,7 +304,7 @@ def _listing(pairs: _Pairs, include_groups: bool, stats: ClassifyStats) -> list[
                 if twist_perm is None:
                     twist_perm = twists[shared[0]] = Permutation(shared[0])
                 structures.append(
-                    HomGroup._from_verified(shared[1:], twist_perm, 0, None, inverses)
+                    HomGroup._from_verified(shared[1:], twist_perm, 0, None)
                 )
     structures.sort(key=lambda g: g.table.entries)
     stats.structures += len(structures)
@@ -350,8 +351,7 @@ def relabel(G: HomGroup, p: PermLike) -> HomGroup:
     """Transport G along the relabeling p: new index p(i) plays old i.
 
     p is then an isomorphism from G onto the result, which carries every
-    axiom of G over, so it is built without running verify; the inverse of
-    p(i) is p(inverse of i).
+    axiom of G over, so it is built without running verify.
     """
     p = _as_perm(p)
     if len(p) != G.n:
@@ -365,8 +365,7 @@ def relabel(G: HomGroup, p: PermLike) -> HomGroup:
     )
     alpha = Permutation(tuple(im[G.alpha(pinv[i])] for i in range(n)))
     labels = None if G.labels is None else tuple(G.labels[pinv[i]] for i in range(n))
-    inverses = tuple(im[G.inverses[pinv[i]]] for i in range(n))
-    return HomGroup._from_verified(table, alpha, im[G.unit], labels, inverses)
+    return HomGroup._from_verified(table, alpha, im[G.unit], labels)
 
 
 def canonical_form(G: HomGroup) -> HomGroup:
@@ -382,8 +381,7 @@ def canonical_form(G: HomGroup) -> HomGroup:
     Hom-group whose twist is its unit row, built without running verify.
     """
     rows = min(table for _, _, table in _relabelings(G, automorphisms_of(G)))
-    inverses = tuple(row.index(0) for row in rows)
-    return HomGroup._from_verified(rows, Permutation(rows[0]), 0, None, inverses)
+    return HomGroup._from_verified(rows, Permutation(rows[0]), 0, None)
 
 
 def are_isomorphic(G: HomGroup, H: HomGroup) -> Optional[Permutation]:

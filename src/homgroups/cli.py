@@ -185,7 +185,7 @@ def load_hom_group(path: str) -> HomGroup:
 def report_lines(report: AxiomReport) -> list[str]:
     lines = [f"valid: {'true' if report.valid else 'false'}"]
     for tag, witness in report.violations:
-        lines.append(f"violation: {tag} ({','.join(str(i) for i in witness)})")
+        lines.append(f"violation: {tag} ({','.join(map(str, witness))})")
     return lines
 
 
@@ -207,7 +207,7 @@ def render_text(G: HomGroup) -> str:
 
 
 def render_csv(G: HomGroup) -> str:
-    return "\n".join(",".join(str(v) for v in row) for row in G.table.entries) + "\n"
+    return "\n".join(",".join(map(str, row)) for row in G.table.entries) + "\n"
 
 
 def _parse_subset(spec: str) -> list[int]:
@@ -328,7 +328,7 @@ def cmd_lagrange(args: argparse.Namespace) -> int:
             f"H={format_subset(entry.subgroup.members)} "
             f"|H|={entry.order} index={entry.index}"
         )
-    print("divisors: " + ", ".join(str(d) for d in report.divisors))
+    print("divisors: " + ", ".join(map(str, report.divisors)))
     return EXIT_OK
 
 
@@ -351,7 +351,7 @@ def cmd_twist(args: argparse.Namespace) -> int:
             msg = f"automorphism search may try {size} generator images, over the guard"
             raise CliFailure(f"{msg} of {LIST_AUTOS_GUARD}; pass --force to run it", TAG_GUARD)
         for p in _constructions.automorphisms_of(G, profile):
-            print(",".join(str(v) for v in p.images))
+            print(",".join(map(str, p.images)))
         return EXIT_OK
     if args.conjugate is not None:
         alpha = _constructions.inner_automorphism(G, args.conjugate)
@@ -372,7 +372,7 @@ def cmd_hopf(args: argparse.Namespace) -> int:
     G = load_hom_group(args.path)
     if args.dims:
         dims = _homhopf.sub_hopf_dims(G)
-        print("dims: " + ", ".join(str(d) for d in dims))
+        print("dims: " + ", ".join(map(str, dims)))
         print(f"|G| = {G.n}")
         ok = all(G.n % d == 0 for d in dims)
         print(f"all divide |G|: {'true' if ok else 'false'}")

@@ -19,9 +19,9 @@ from .core import (
     Permutation,
     PermLike,
     _as_perm,
-    _check_index,
     _greedy_generators,
     _multiplicativity_witness,
+    inverse_of,
     verify,
 )
 
@@ -38,17 +38,15 @@ class NotAutomorphismError(ValueError):
 def cyclic_group(n: int) -> FiniteGroup:
     """Additive cyclic group of order n on {0..n-1}.
 
-    Row i is the rotation of 0..n-1 that starts at i, and the inverse of i
-    is -i mod n.  Addition mod n is a group law with unit 0, so the table
-    is built without running verify.
+    Row i is the rotation of 0..n-1 that starts at i.  Addition mod n is a
+    group law with unit 0, so the table is built without running verify.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"order must be an integer >= 1, got {n!r}")
     r = tuple(range(n))
     table = tuple(r[i:] + r[:i] for i in r)
-    inverses = tuple(-i % n for i in r)
     labels = tuple(map(str, r))
-    return FiniteGroup._from_verified(table, Permutation(r), 0, labels, inverses)
+    return FiniteGroup._from_verified(table, Permutation(r), 0, labels)
 
 
 def _rot_label(i: int, flip: bool) -> str:
@@ -64,10 +62,9 @@ def dihedral_group(n: int) -> FiniteGroup:
     Elements are ordered 1, r, r^2, ..., r^(n-1), s, rs, r^2 s, ... with
     the relations r^n = s^2 = 1 and s r = r^-1 s, so r^i has index i and
     r^i s index n + i.  Then r^i r^j = r^(i+j), r^i r^j s = r^(i+j) s,
-    r^i s r^j = r^(i-j) s and r^i s r^j s = r^(i-j), which give the rows;
-    r^i has inverse r^-i, and every r^i s is its own inverse.  This is the
-    group that the relations present, with unit 1, so the table is built
-    without running verify.
+    r^i s r^j = r^(i-j) s and r^i s r^j s = r^(i-j), which give the rows.
+    This is the group that the relations present, with unit 1, so the
+    table is built without running verify.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"rotation order must be an integer >= 1, got {n!r}")
@@ -75,9 +72,8 @@ def dihedral_group(n: int) -> FiniteGroup:
     rotations, reflections = ([tuple((i + e * j) % n for j in r) for i in r] for e in (1, -1))
     flip = lambda row: tuple(k + n for k in row)  # r^k -> r^k s
     table = tuple(x + flip(x) for x in rotations) + tuple(flip(x) + x for x in reflections)
-    inverses = tuple(-i % n for i in r) + tuple(range(n, 2 * n))
     labels = tuple(_rot_label(i, False) for i in r) + tuple(_rot_label(i, True) for i in r)
-    return FiniteGroup._from_verified(table, Permutation.identity(2 * n), 0, labels, inverses)
+    return FiniteGroup._from_verified(table, Permutation.identity(2 * n), 0, labels)
 
 
 def is_automorphism(G: FiniteGroup, f: PermLike) -> bool:
@@ -206,9 +202,8 @@ def _search_size(profile: tuple) -> int:
 
 def inner_automorphism(G: FiniteGroup, s: int) -> Permutation:
     """Conjugation x -> (s*x)*s^-1."""
-    _check_index(G, s)
+    s_inv = inverse_of(G, s)
     t = G.table.entries
-    s_inv = G.inverses[s]
     return Permutation(tuple(t[t[s][x]][s_inv] for x in range(G.n)))
 
 
@@ -220,12 +215,10 @@ def twist(G: FiniteGroup, alpha: PermLike) -> HomGroup:
     first witness pair where multiplicativity fails.
 
     A group twisted by an automorphism is always a Hom-group (the proof is
-    in the classify module), and the twisted product alpha(g*x) is the unit
-    exactly when g*x is, so the result keeps G's inverses and is built
-    without running verify again.  The proof needs G to be a group: if G's
-    own twist is not the identity, the twisted table is checked and
-    rejected with InvalidStructureError, as the HomGroup constructor would
-    reject it.
+    in the classify module), so the result is built without running verify
+    again.  The proof needs G to be a group: if G's own twist is not the
+    identity, the twisted table is checked and rejected with
+    InvalidStructureError, as the HomGroup constructor would reject it.
     """
     alpha = _as_perm(alpha)
     if len(alpha) != G.n:
@@ -239,7 +232,7 @@ def twist(G: FiniteGroup, alpha: PermLike) -> HomGroup:
     twisted = tuple(itemgetter(*row)(alpha.images) for row in t) if G.n > 1 else t
     if not G.alpha.is_identity:
         raise InvalidStructureError(verify(twisted, alpha, G.unit))
-    return HomGroup._from_verified(twisted, alpha, G.unit, G.labels, G.inverses)
+    return HomGroup._from_verified(twisted, alpha, G.unit, G.labels)
 
 
 def direct_product(G: HomGroup, H: HomGroup) -> HomGroup:
@@ -249,9 +242,8 @@ def direct_product(G: HomGroup, H: HomGroup) -> HomGroup:
     twist is G's twist paired with H's the same way.  Each Hom-group
     axiom holds on pairs because it holds in each factor: a row or column
     of pairs is a pair of bijections, and the unit, twist and associativity
-    laws are identities checked componentwise.  (g, h)*(x, y) is the unit
-    exactly when g*x and h*y are, so the inverses are the pairs of the
-    factors' inverses, and the product is built without running verify.
+    laws are identities checked componentwise, so the product is built
+    without running verify.
     """
     m = H.n
 
@@ -263,8 +255,7 @@ def direct_product(G: HomGroup, H: HomGroup) -> HomGroup:
     if G.labels is not None and H.labels is not None:
         labels = tuple(f"({a},{b})" for a in G.labels for b in H.labels)
     alpha = Permutation(pairs(G.alpha.images, H.alpha.images))
-    inverses = pairs(G.inverses, H.inverses)
-    return HomGroup._from_verified(table, alpha, G.unit * m + H.unit, labels, inverses)
+    return HomGroup._from_verified(table, alpha, G.unit * m + H.unit, labels)
 
 
 # Stock tables, stored literally row by row; the twist is

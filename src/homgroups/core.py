@@ -11,7 +11,7 @@ object is immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Literal, NamedTuple, Optional, Sequence, TypeAlias, Union
 
@@ -57,7 +57,7 @@ class Permutation:
         if n == 0:
             raise ValueError("empty permutation")
         # 1.0 == 1 and True == 1, so the bijection test alone admits them.
-        if not all(type(v) is int for v in images) or sorted(images) != list(range(n)):
+        if set(map(type, images)) != {int} or sorted(images) != list(range(n)):
             raise ValueError(f"not a bijection on 0..{n - 1}: {images}")
 
     @classmethod
@@ -72,7 +72,7 @@ class Permutation:
 
     @property
     def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -160,9 +160,7 @@ class CayleyTable:
         return tuple(row[j] for row in self.entries)
 
     def is_symmetric(self) -> bool:
-        e = self.entries
-        n = len(e)
-        return all(e[i][j] == e[j][i] for i in range(n) for j in range(i + 1, n))
+        return self.entries == tuple(zip(*self.entries))
 
 
 @dataclass(frozen=True)
@@ -420,18 +418,27 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
     return AxiomReport(tuple(violations))
 
 
+def _set_slots(G: "HomGroup", table: CayleyTable, alpha: Permutation, unit: int, labels) -> None:
+    """Fill G's slots past HomGroup's guard against assignment."""
+    object.__setattr__(G, "table", table)
+    object.__setattr__(G, "alpha", alpha)
+    object.__setattr__(G, "unit", unit)
+    object.__setattr__(G, "labels", labels)
+
+
 class HomGroup:
     """Verified finite Hom-group.
 
     The public constructor runs the full axiom check and rejects bad data
-    with InvalidStructureError; inverses are precomputed from the table.
-    Library code that has proved the axioms for the data it built, as twist
-    does for a group twisted by an automorphism, uses _from_verified
-    instead.  The carrier is {0..n-1}; the unit may sit at any index.
+    with InvalidStructureError.  Library code that has proved the axioms
+    for the data it built, as twist does for a group twisted by an
+    automorphism, uses _from_verified instead.  The carrier is {0..n-1};
+    the unit may sit at any index.  Only the table, twist, unit and labels
+    are stored: the table fixes every inverse, which is read off it.
     Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("table", "alpha", "unit", "labels", "inverses")
+    __slots__ = ("table", "alpha", "unit", "labels")
 
     def __init__(
         self,
@@ -449,11 +456,7 @@ class HomGroup:
             labels = tuple(str(s) for s in labels)
             if len(labels) != table.n:
                 raise ValueError(f"{len(labels)} labels for carrier of size {table.n}")
-        self.table = table
-        self.alpha = alpha
-        self.unit = unit
-        self.labels = labels
-        self.inverses = tuple(row.index(unit) for row in table.entries)
+        _set_slots(self, table, alpha, unit, labels)
 
     @classmethod
     def _from_verified(
@@ -462,20 +465,30 @@ class HomGroup:
         alpha: Permutation,
         unit: int,
         labels: Optional[tuple[str, ...]],
-        inverses: tuple[int, ...],
     ) -> "HomGroup":
         """A Hom-group from data the caller has proved valid, unchecked.
 
         Neither the table's range check nor verify runs, so every argument
         must already be what the public constructor would store: entries a
-        tuple of int tuples that passes verify with alpha and unit, labels a
-        tuple of n strings or None, and inverses[g] the column of unit in
-        row g.
+        tuple of int tuples that passes verify with alpha and unit, and
+        labels a tuple of n strings or None.
         """
         G = object.__new__(cls)
-        G.table, G.alpha, G.unit = _checked_table(entries), alpha, unit
-        G.labels, G.inverses = labels, inverses
+        _set_slots(G, _checked_table(entries), alpha, unit, labels)
         return G
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def inverses(self) -> tuple[int, ...]:
+        """inverses[g] is the column of the unit in row g: in a Hom-group
+        g*x = unit holds for exactly one x, and then x*g = unit too."""
+        unit = self.unit
+        return tuple(row.index(unit) for row in self.table.entries)
 
     @property
     def n(self) -> int:
@@ -536,7 +549,7 @@ class FiniteGroup(HomGroup):
         return self.table.entries[a][b]
 
     def inv(self, a: int) -> int:
-        return self.inverses[a]
+        return self.table.entries[a].index(self.unit)
 
 
 def _check_index(G: HomGroup, i: int, name: str = "index") -> None:
@@ -559,7 +572,7 @@ def alpha_apply(G: HomGroup, a: int, k: int) -> int:
 def inverse_of(G: HomGroup, a: int) -> int:
     """The unique b with a*b = b*a = unit."""
     _check_index(G, a)
-    return G.inverses[a]
+    return G.table.entries[a].index(G.unit)
 
 
 def left_divide(G: HomGroup, a: int, b: int) -> int:
@@ -568,16 +581,14 @@ def left_divide(G: HomGroup, a: int, b: int) -> int:
     Uses the closed form x = alpha^-1(a^-1) * alpha^-2(b) that witnesses
     the quasigroup property; agrees with a row scan of the table.
     """
-    _check_index(G, a)
     t = G.table.entries
-    return t[G.alpha.apply(G.inverses[a], -1)][G.alpha.apply(b, -2)]
+    return t[G.alpha.apply(inverse_of(G, a), -1)][G.alpha.apply(b, -2)]
 
 
 def right_divide(G: HomGroup, a: int, b: int) -> int:
     """The unique y with y*a = b, via y = alpha^-2(b) * alpha^-1(a^-1)."""
-    _check_index(G, a)
     t = G.table.entries
-    return t[G.alpha.apply(b, -2)][G.alpha.apply(G.inverses[a], -1)]
+    return t[G.alpha.apply(b, -2)][G.alpha.apply(inverse_of(G, a), -1)]
 
 
 def is_abelian(G: HomGroup) -> bool:

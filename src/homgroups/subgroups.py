@@ -68,7 +68,7 @@ SubsetLike: TypeAlias = "Union[SubsetHandle, Iterable[int]]"
 
 def format_subset(members: Iterable[int]) -> str:
     """The members in increasing order, written {a,b,c}."""
-    return "{" + ",".join(str(i) for i in sorted(members)) + "}"
+    return "{" + ",".join(map(str, sorted(members))) + "}"
 
 
 def _as_members(G: HomGroup, S: SubsetLike) -> frozenset[int]:

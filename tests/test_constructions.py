@@ -1,5 +1,6 @@
 import pytest
 
+from homgroups import core
 from homgroups import (
     FiniteGroup,
     HomGroup,
@@ -21,6 +22,7 @@ from homgroups import (
     twist,
     verify,
 )
+from homgroups.classify import ClassifyStats, _extensions, _groups
 from oracles import (
     automorphisms_by_filter,
     cyclic_automorphisms_by_formula,
@@ -71,9 +73,10 @@ def _dihedral_by_pairs(k):
 
 
 class TestBuiltWithoutVerify:
-    """The stock groups, direct products and relabelings are built from
-    closed forms, with no verify; each must equal what the public
-    constructor builds from the same table, and its inverses too."""
+    """The stock groups, direct products, relabelings and cyclic extensions
+    are built from closed forms, with no verify; each must equal what the
+    public constructor builds from the same table, and the inverses read
+    off its table must be two-sided."""
 
     @staticmethod
     def assert_as_constructed(G):
@@ -81,7 +84,10 @@ class TestBuiltWithoutVerify:
             H = FiniteGroup(G.table.entries, G.unit, G.labels)
         else:
             H = HomGroup(G.table.entries, G.alpha, G.unit, G.labels)
-        assert type(H) is type(G) and H == G and H.inverses == G.inverses
+        assert type(H) is type(G) and H == G
+        t = G.table.entries
+        for g, x in enumerate(G.inverses):
+            assert t[g][x] == t[x][g] == G.unit
 
     @pytest.mark.parametrize("k", range(1, 41))
     def test_stock_groups(self, k):
@@ -96,6 +102,24 @@ class TestBuiltWithoutVerify:
         for G in stock + [z3a]:
             for H in stock + [z3a, relabel(z3a, (2, 0, 1))]:
                 self.assert_as_constructed(direct_product(G, H))
+
+    def test_cyclic_extensions(self, monkeypatch):
+        # Every extension of order m*p <= 24, all that _groups(24) builds among them.
+        stats = ClassifyStats()
+        bases = [
+            (N, p)
+            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+            for m in range(1, 24 // p + 1)
+            for N in _groups(m, stats)
+        ]
+        calls = []
+        monkeypatch.setattr(core, "verify", lambda *args: calls.append(args))
+        built = [G for N, p in bases for G in _extensions(N, p)]
+        monkeypatch.undo()
+        assert calls == [] and len(built) == 708
+        for G in built:
+            assert verify(G.table, Permutation.identity(G.n), 0).valid
+            self.assert_as_constructed(G)
 
     def test_relabelings_and_canonical_forms(self, twists_of):
         for G in (*twists_of("zn", 8), *twists_of("dn", 4), fixture("d3a")):

@@ -123,15 +123,21 @@ class TestCayleyTable:
 def test_value_types_hold_no_attribute_dict():
     # The labeled listing keeps one table per structure, 25,200 at order 8,
     # so the value types are slotted.  The listing's tables come from
-    # HomGroup._from_verified, which bypasses the constructor.
+    # HomGroup._from_verified, which bypasses the constructor.  Every value
+    # type refuses assignment and deletion, so its hash cannot change.
     listed = enumerate_hom_groups(SearchConfig(order=3))[0]
+    built = HomGroup(listed.table, listed.alpha)
     values = [CayleyTable(((0, 1), (1, 0))), Permutation((1, 0)), listed.table, listed.alpha]
-    for value in values:
+    for value in values + [listed, built]:
         assert not hasattr(value, "__dict__")
-        (field,) = dataclasses.fields(value)
-        for name in (field.name, "extra"):
+        before = hash(value)
+        names = type(value).__slots__
+        for name in (*names, "extra"):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(value, name, getattr(value, field.name))
+                setattr(value, name, getattr(value, names[0]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, names[0])
+        assert hash(value) == before
 
 
 class TestVerify:

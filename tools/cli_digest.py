@@ -201,13 +201,17 @@ def commands() -> list[list[str]]:
         for spec, autos in ((f"zn:{k}", _cyclic_autos(k)), (f"dn:{k}", _dihedral_autos(k))):
             cmds.append(["twist", "--group", spec, "--list-autos"])
             cmds += [["twist", "--group", spec, "--auto", ",".join(map(str, a))] for a in autos]
+        # s is its own inverse, r = 1 is not: r^-1 = r^(k-1)
         cmds.append(["twist", "--group", f"dn:{k}", "--conjugate", str(k)])
+        cmds.append(["twist", "--group", f"dn:{k}", "--conjugate", "1"])
     # z2z4_0.json has the identity twist, so it is a group; z2z4_1.json is not
     for alpha in _z2_z4_autos():
         cmds.append(["twist", "--group", "z2z4_0.json", "--auto", ",".join(map(str, alpha))])
     cmds += [
         ["twist", "--group", "z2z4_0.json", "--list-autos"],
         ["twist", "--group", "z2z4_1.json", "--auto", "0,1,2,3,4,5,6,7"],
+        # dn5_0.json has the identity twist, so it is the group D5, not abelian
+        ["twist", "--group", "dn5_0.json", "--conjugate", "2"],
         ["twist", "--group", "zn:6", "--auto", "1,0,2,3,4,5"],
         ["twist", "--group", "zn:4", "--auto", "0,1"],
         ["twist", "--group", "zn:3", "--auto", "0,1,1"],
