@@ -161,7 +161,6 @@ def _extensions(N: FiniteGroup, p: int) -> Iterator[FiniteGroup]:
     unit 0 has index 0, and it is built without running verify.
     """
     m, t = N.n, N.table.entries
-    identity = Permutation.identity(p * m)
     inner = [inner_automorphism(N, a) for a in range(m)]
     for phi in automorphisms_of(N):
         back = [phi.power(-j).images for j in range(p)]
@@ -178,7 +177,7 @@ def _extensions(N: FiniteGroup, p: int) -> Iterator[FiniteGroup]:
                 for i in range(p)
                 for x in range(m)
             )
-            yield FiniteGroup._from_verified(table, identity, 0, None)
+            yield FiniteGroup._from_verified(table, 0, None)
 
 
 def _groups(n: int, stats: ClassifyStats) -> list[FiniteGroup]:
@@ -261,8 +260,8 @@ def enumerate_hom_groups(
     Each labeled group table with unit 0, built once by _relabelings, is
     twisted by each of its automorphisms; the identity twist, which leaves
     an ordinary group, is kept only when include_groups is set.  Equal rows
-    are one tuple and equal twists one Permutation, shared by every
-    structure holding them.  Every labeled structure is returned; pass the
+    are one tuple, shared by every structure holding them, and a twist is
+    its structure's row 0.  Every labeled structure is returned; pass the
     list to reduce_to_classes for one representative per isomorphism class.
     In stats, search_s times building the groups only, and twist_s the walk
     over their labeled tables and the twists.
@@ -274,19 +273,19 @@ def enumerate_hom_groups(
 def _listing(pairs: _Pairs, include_groups: bool, stats: ClassifyStats) -> list[HomGroup]:
     """The labeled structures of enumerate_hom_groups, from its group pairs.
 
-    The relabeling walk is consumed lazily, so each relabeled table is
-    freed once it has been twisted; its time counts under twist_s.
+    Each structure keeps only its rows, the twist being row 0.  The
+    relabeling walk is consumed lazily, so each relabeled table is freed
+    once it has been twisted; its time counts under twist_s.
     """
     start = time.perf_counter()
     n = pairs[0][0].n
     # itemgetter returns a bare item, not a 1-tuple, for a single index.  So
     # each gather below takes the unit 0 as one index more, which the next
-    # gather never reads, and rows_of cuts beta, which is row 0, before the
-    # rows: every getter has two indices or more, at order 1 too.
+    # gather never reads, and rows_of cuts row 0 twice, the first copy
+    # dropped: every getter has two indices or more, at order 1 too.
     rows_of = itemgetter(*(slice(k, k + n) for k in (0, *range(0, n * n, n))))
-    # One tuple per distinct row or twist, shared by every structure holding it.
+    # One tuple per distinct row, shared by every structure holding it.
     rows_seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    twists: dict[tuple[int, ...], Permutation] = {}
     structures: list[HomGroup] = []
     for R, autos in pairs:
         # p -> p alpha, for each twist alpha kept.
@@ -300,12 +299,7 @@ def _listing(pairs: _Pairs, include_groups: bool, stats: ClassifyStats) -> list[
             for p_alpha in p_alpha_of:
                 rs = rows_of(twisted_of(beta_of(p_alpha(p))))
                 shared = tuple(map(rows_seen.setdefault, rs, rs))
-                twist_perm = twists.get(shared[0])
-                if twist_perm is None:
-                    twist_perm = twists[shared[0]] = Permutation(shared[0])
-                structures.append(
-                    HomGroup._from_verified(shared[1:], twist_perm, 0, None)
-                )
+                structures.append(HomGroup._from_verified(shared[1:], 0, None))
     structures.sort(key=lambda g: g.table.entries)
     stats.structures += len(structures)
     stats.twist_s += time.perf_counter() - start
@@ -363,9 +357,8 @@ def relabel(G: HomGroup, p: PermLike) -> HomGroup:
     table = tuple(
         tuple(im[t[pinv[i]][pinv[j]]] for j in range(n)) for i in range(n)
     )
-    alpha = Permutation(tuple(im[G.alpha(pinv[i])] for i in range(n)))
     labels = None if G.labels is None else tuple(G.labels[pinv[i]] for i in range(n))
-    return HomGroup._from_verified(table, alpha, im[G.unit], labels)
+    return HomGroup._from_verified(table, im[G.unit], labels)
 
 
 def canonical_form(G: HomGroup) -> HomGroup:
@@ -378,10 +371,10 @@ def canonical_form(G: HomGroup) -> HomGroup:
     isomorphic exactly when their canonical tables coincide.
 
     The least table is that of a relabeling of G with unit 0, so it is a
-    Hom-group whose twist is its unit row, built without running verify.
+    Hom-group, built without running verify.
     """
     rows = min(table for _, _, table in _relabelings(G, automorphisms_of(G)))
-    return HomGroup._from_verified(rows, Permutation(rows[0]), 0, None)
+    return HomGroup._from_verified(rows, 0, None)
 
 
 def are_isomorphic(G: HomGroup, H: HomGroup) -> Optional[Permutation]:

@@ -46,7 +46,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     r = tuple(range(n))
     table = tuple(r[i:] + r[:i] for i in r)
     labels = tuple(map(str, r))
-    return FiniteGroup._from_verified(table, Permutation(r), 0, labels)
+    return FiniteGroup._from_verified(table, 0, labels)
 
 
 def _rot_label(i: int, flip: bool) -> str:
@@ -73,7 +73,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     flip = lambda row: tuple(k + n for k in row)  # r^k -> r^k s
     table = tuple(x + flip(x) for x in rotations) + tuple(flip(x) + x for x in reflections)
     labels = tuple(_rot_label(i, False) for i in r) + tuple(_rot_label(i, True) for i in r)
-    return FiniteGroup._from_verified(table, Permutation.identity(2 * n), 0, labels)
+    return FiniteGroup._from_verified(table, 0, labels)
 
 
 def is_automorphism(G: FiniteGroup, f: PermLike) -> bool:
@@ -91,8 +91,9 @@ def _keys(G: HomGroup) -> tuple[list, tuple]:
     different signatures are never isomorphic.
     """
     t, unit = G.table.entries, G.unit
-    a_inv = G.alpha.inverse().images
-    cycle = {x: len(c) for c in G.alpha.cycles() for x in c}
+    alpha = G.alpha
+    a_inv = alpha.inverse().images
+    cycle = {x: len(c) for c in alpha.cycles() for x in c}
 
     def order(x: int) -> int:
         y, m = x, 1
@@ -211,8 +212,9 @@ def twist(G: FiniteGroup, alpha: PermLike) -> HomGroup:
     """Twist a group's multiplication by one of its automorphisms.
 
     The twisted product is alpha(g*k); the result is a Hom-group with the
-    same unit and twist alpha.  A non-automorphism is rejected with the
-    first witness pair where multiplicativity fails.
+    same unit, whose row is alpha, so only the twisted rows are stored.  A
+    non-automorphism is rejected with the first witness pair where
+    multiplicativity fails.
 
     A group twisted by an automorphism is always a Hom-group (the proof is
     in the classify module), so the result is built without running verify
@@ -232,14 +234,14 @@ def twist(G: FiniteGroup, alpha: PermLike) -> HomGroup:
     twisted = tuple(itemgetter(*row)(alpha.images) for row in t) if G.n > 1 else t
     if not G.alpha.is_identity:
         raise InvalidStructureError(verify(twisted, alpha, G.unit))
-    return HomGroup._from_verified(twisted, alpha, G.unit, G.labels)
+    return HomGroup._from_verified(twisted, G.unit, G.labels)
 
 
 def direct_product(G: HomGroup, H: HomGroup) -> HomGroup:
     """Componentwise product on pairs, encoded row-major as i*|H| + j.
 
-    Row (i, j) of the table is row i of G paired with row j of H, and the
-    twist is G's twist paired with H's the same way.  Each Hom-group
+    Row (i, j) of the table is row i of G paired with row j of H, so the
+    twist, the unit's row, is G's twist paired with H's.  Each Hom-group
     axiom holds on pairs because it holds in each factor: a row or column
     of pairs is a pair of bijections, and the unit, twist and associativity
     laws are identities checked componentwise, so the product is built
@@ -254,8 +256,7 @@ def direct_product(G: HomGroup, H: HomGroup) -> HomGroup:
     labels = None
     if G.labels is not None and H.labels is not None:
         labels = tuple(f"({a},{b})" for a in G.labels for b in H.labels)
-    alpha = Permutation(pairs(G.alpha.images, H.alpha.images))
-    return HomGroup._from_verified(table, alpha, G.unit * m + H.unit, labels)
+    return HomGroup._from_verified(table, G.unit * m + H.unit, labels)
 
 
 # Stock tables, stored literally row by row; the twist is

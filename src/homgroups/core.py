@@ -43,6 +43,17 @@ def _cycle(images: Sequence[int], i: int) -> list[int]:
     return cycle
 
 
+def _apply(images: Sequence[int], i: int, k: int) -> int:
+    """Image of i under the k-th iterate of the permutation with these
+    images; negative k walks the inverse."""
+    n = len(images)
+    if type(i) is not int or not 0 <= i < n:
+        raise ValueError(f"index {i!r} outside 0..{n - 1}")
+    _check_exponent(k)
+    cycle = _cycle(images, i)
+    return cycle[k % len(cycle)]
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection on {0..n-1}, stored as its image sequence."""
@@ -63,6 +74,9 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
+
+    def __reduce__(self):
+        return (Permutation, (self.images,))
 
     def __call__(self, i: int) -> int:
         return self.images[i]
@@ -88,12 +102,7 @@ class Permutation:
 
     def apply(self, i: int, k: int = 1) -> int:
         """Image of i under the k-th iterate; negative k walks the inverse."""
-        n = len(self.images)
-        if type(i) is not int or not 0 <= i < n:
-            raise ValueError(f"index {i!r} outside 0..{n - 1}")
-        _check_exponent(k)
-        cycle = _cycle(self.images, i)
-        return cycle[k % len(cycle)]
+        return _apply(self.images, i, k)
 
     def power(self, k: int) -> "Permutation":
         """The k-th iterate, from one walk of each cycle: within a cycle it
@@ -148,6 +157,9 @@ class CayleyTable:
             for j, v in enumerate(row):
                 if type(v) is not int or not 0 <= v < n:
                     raise ValueError(f"entry ({i},{j}) = {v!r} outside 0..{n - 1}")
+
+    def __reduce__(self):
+        return (CayleyTable, (self.entries,))
 
     @property
     def n(self) -> int:
@@ -298,41 +310,38 @@ def _greedy_generators(t: Sequence[Sequence[int]], unit: int) -> Iterator[int]:
             reached = _closure(t, unit, gens)
 
 
-def _untwisted_is_associative(t: Sequence[Sequence[int]], a: Sequence[int], unit: int) -> bool:
-    """True exactly when g.h = a^-1(g*h) is associative, by Light's test.
+def _is_hom_associative(t: Sequence[Sequence[int]], a: Sequence[int], unit: int) -> bool:
+    """True exactly when a(x)*(g*y) = (x*g)*a(y) for all x, g, y, by
+    Light's test on the untwisted product g.h = a^-1(g*h).
 
     The caller must have checked that a is multiplicative for * and that
-    the unit's row and column both equal a.  Then a is an automorphism of
-    the untwisted product, and a(g)*(h*k) = a^2(g.(h.k)) while
-    (g*h)*a(k) = a^2((g.h).k), so twisted associativity holds exactly when
-    . is associative.  The set S of elements s with (x.s).y = x.(s.y) for
-    all x, y is closed under . (Light; Clifford and Preston, The Algebraic
-    Theory of Semigroups I, 1.2).  S is a-stable, as a is an automorphism
-    of ., so it is closed under * as well, and it holds the unit, which is
-    a two-sided unit of . by the unit row and column.
+    the unit's row and column both equal a.  Then a and a^-1 are
+    automorphisms of *, and of ., and applying a^2 to both sides shows
+    that (x.g).y = x.(g.y) holds exactly when a(x)*(g*y) = (x*g)*a(y).
+    So twisted associativity is the associativity of ., and for one g and
+    one x the test compares two gathers of rows of *: row x*g at a(y),
+    and row a(x) at g*y, for every y.  The set S of elements s with
+    (x.s).y = x.(s.y) for all x, y is closed under . (Light; Clifford and
+    Preston, The Algebraic Theory of Semigroups I, 1.2).  S is a-stable,
+    as a is an automorphism of ., so it is closed under * as well, and it
+    holds the unit, which is a two-sided unit of . by the unit row and
+    column.
 
     Generators are picked by _greedy_generators and each is tested, one
-    row of . per element x, when it is picked.  The set _closure reaches
-    from the tested generators lies in S, and it holds each of them, since
+    row per element x, when it is picked.  The set _closure reaches from
+    the tested generators lies in S, and it holds each of them, since
     unit*g = a(g) and x*unit = a(x) walk round the twist orbit of g.  The
     generators run out only once no element is left outside that set, so
     . is associative when every generator passes, and a failed generator
-    is a witness that it is not.  Given the caller's checks, the result is
-    therefore True exactly when . is associative.  In a Hom-group each new
-    generator at least doubles the set, so there are at most floor(log2 n)
-    of them and the test costs O(n^2 log n).
+    is a witness that it is not.  In a Hom-group each new generator at
+    least doubles the set, so there are at most floor(log2 n) of them and
+    the test costs O(n^2 log n).
     """
-    n = len(t)
-    a_inv = sorted(range(n), key=a.__getitem__)  # a_inv[a[i]] = i
-    # No generator is picked at n = 1, so u, whose one row is then a bare
-    # item, is never read, and each getter has n >= 2 indices and returns a
-    # tuple.
-    u = [itemgetter(*row)(a_inv) for row in t]
+    at_a = itemgetter(*a)  # row -> (row[a(0)], ..., row[a(n-1)])
     for g in _greedy_generators(t, unit):
-        # (x.g).y = x.(g.y) for every y, one row of . per x.
-        at_dot_g = itemgetter(*u[g])  # row x of . -> (x.(g.y) for each y)
-        for row in u:
-            if u[row[g]] != at_dot_g(row):
+        at_gy = itemgetter(*t[g])  # row -> (row[g*y] for each y)
+        for x, row in enumerate(t):
+            if at_a(t[row[g]]) != at_gy(t[a[x]]):
                 return False
     return True
 
@@ -394,7 +403,7 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
         twist_laws.append(("twist-multiplicative", hit))
 
     # Light's test relies on the checks above.
-    if rows is None and not twist_laws and _untwisted_is_associative(t, a, unit):
+    if rows is None and not twist_laws and _is_hom_associative(t, a, unit):
         return AxiomReport(())
 
     cols = _repeat_witness(zip(*t), n)
@@ -418,10 +427,9 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
     return AxiomReport(tuple(violations))
 
 
-def _set_slots(G: "HomGroup", table: CayleyTable, alpha: Permutation, unit: int, labels) -> None:
+def _set_slots(G: "HomGroup", table: CayleyTable, unit: int, labels) -> None:
     """Fill G's slots past HomGroup's guard against assignment."""
     object.__setattr__(G, "table", table)
-    object.__setattr__(G, "alpha", alpha)
     object.__setattr__(G, "unit", unit)
     object.__setattr__(G, "labels", labels)
 
@@ -433,12 +441,13 @@ class HomGroup:
     with InvalidStructureError.  Library code that has proved the axioms
     for the data it built, as twist does for a group twisted by an
     automorphism, uses _from_verified instead.  The carrier is {0..n-1};
-    the unit may sit at any index.  Only the table, twist, unit and labels
-    are stored: the table fixes every inverse, which is read off it.
-    Instances are immutable and safe to share across threads.
+    the unit may sit at any index.  Only the table, unit and labels are
+    stored: g*unit = alpha(g), so the twist is the unit's row, and every
+    inverse is read off the table too.  Instances are immutable and safe
+    to share across threads.
     """
 
-    __slots__ = ("table", "alpha", "unit", "labels")
+    __slots__ = ("table", "unit", "labels")
 
     def __init__(
         self,
@@ -456,13 +465,12 @@ class HomGroup:
             labels = tuple(str(s) for s in labels)
             if len(labels) != table.n:
                 raise ValueError(f"{len(labels)} labels for carrier of size {table.n}")
-        _set_slots(self, table, alpha, unit, labels)
+        _set_slots(self, table, unit, labels)
 
     @classmethod
     def _from_verified(
         cls,
         entries: tuple[tuple[int, ...], ...],
-        alpha: Permutation,
         unit: int,
         labels: Optional[tuple[str, ...]],
     ) -> "HomGroup":
@@ -470,18 +478,26 @@ class HomGroup:
 
         Neither the table's range check nor verify runs, so every argument
         must already be what the public constructor would store: entries a
-        tuple of int tuples that passes verify with alpha and unit, and
-        labels a tuple of n strings or None.
+        tuple of int tuples that passes verify with its unit's row as the
+        twist, and labels a tuple of n strings or None.
         """
         G = object.__new__(cls)
-        _set_slots(G, _checked_table(entries), alpha, unit, labels)
+        _set_slots(G, _checked_table(entries), unit, labels)
         return G
+
+    def __reduce__(self):
+        return (HomGroup, (self.table, self.alpha, self.unit, self.labels))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def alpha(self) -> Permutation:
+        """The twist, which is the unit's row: g*unit = unit*g = alpha(g)."""
+        return Permutation(self.table.entries[self.unit])
 
     @property
     def inverses(self) -> tuple[int, ...]:
@@ -503,15 +519,10 @@ class HomGroup:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomGroup):
             return NotImplemented
-        return (
-            self.table == other.table
-            and self.alpha == other.alpha
-            and self.unit == other.unit
-            and self.labels == other.labels
-        )
+        return self.table == other.table and self.unit == other.unit and self.labels == other.labels
 
     def __hash__(self) -> int:
-        return hash((self.table.entries, self.alpha.images, self.unit, self.labels))
+        return hash((self.table.entries, self.unit, self.labels))
 
     def __repr__(self) -> str:
         name = type(self).__name__
@@ -545,6 +556,9 @@ class FiniteGroup(HomGroup):
             laws = [f"{_GROUP_LAWS.get(tag, tag)} at {w}" for tag, w in exc.report.violations]
             raise InvalidStructureError(exc.report, f"not a group: {', '.join(laws)}") from None
 
+    def __reduce__(self):
+        return (FiniteGroup, (self.table, self.unit, self.labels))
+
     def mul(self, a: int, b: int) -> int:
         return self.table.entries[a][b]
 
@@ -566,7 +580,7 @@ def mul(G: HomGroup, a: int, b: int) -> int:
 
 def alpha_apply(G: HomGroup, a: int, k: int) -> int:
     """k-th iterate of the twist at a; negative k iterates the inverse."""
-    return G.alpha.apply(a, k)
+    return _apply(G.table.entries[G.unit], a, k)
 
 
 def inverse_of(G: HomGroup, a: int) -> int:
@@ -582,13 +596,13 @@ def left_divide(G: HomGroup, a: int, b: int) -> int:
     the quasigroup property; agrees with a row scan of the table.
     """
     t = G.table.entries
-    return t[G.alpha.apply(inverse_of(G, a), -1)][G.alpha.apply(b, -2)]
+    return t[_apply(t[G.unit], inverse_of(G, a), -1)][_apply(t[G.unit], b, -2)]
 
 
 def right_divide(G: HomGroup, a: int, b: int) -> int:
     """The unique y with y*a = b, via y = alpha^-2(b) * alpha^-1(a^-1)."""
     t = G.table.entries
-    return t[G.alpha.apply(b, -2)][G.alpha.apply(inverse_of(G, a), -1)]
+    return t[_apply(t[G.unit], b, -2)][_apply(t[G.unit], inverse_of(G, a), -1)]
 
 
 def is_abelian(G: HomGroup) -> bool:

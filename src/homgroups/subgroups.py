@@ -202,20 +202,21 @@ def coset_partition(G: HomGroup, H: SubsetLike, side: Side = "left") -> list[Cos
     Scans representatives in increasing order and keeps the first
     generator of each distinct block, so the output is deterministic.
     An element need not lie in its own coset here, but g*H and H*g both
-    contain g*unit = unit*g = alpha(g).  So a representative whose
-    alpha(g) is already covered meets a kept block, and equals it since
-    cosets are disjoint or equal; only the others are formed.
+    contain g*unit, as H holds the unit and g*unit = unit*g.  So a
+    representative whose g*unit is already covered meets a kept block,
+    and equals it since cosets are disjoint or equal; only the others are
+    formed.
     """
     return _partition(G, _checked_subgroup(G, H, side), side)
 
 
 def _partition(G: HomGroup, sub: SubsetHandle, side: Side) -> list[Coset]:
     """coset_partition of a checked Hom-subgroup."""
-    a = G.alpha.images
+    t, unit = G.table.entries, G.unit
     blocks: list[Coset] = []
     covered: set[int] = set()
     for g in range(G.n):
-        if a[g] in covered:
+        if t[g][unit] in covered:
             continue
         c = _coset(G, sub, g, side)
         if covered & c.members:

@@ -252,6 +252,8 @@ class TestIsAutomorphism:
 
     def test_length_mismatch(self):
         assert not is_automorphism(cyclic_group(6), (0, 1, 2))
+        with pytest.raises(ValueError, match="twist length 3 != carrier size 6"):
+            twist(cyclic_group(6), (0, 1, 2))
 
 
 class TestAutomorphismEnumeration:

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 from functools import cache
 from itertools import permutations
 
@@ -91,6 +93,10 @@ class TestPermutation:
         with pytest.raises(ValueError, match="outside 0..2"):
             Permutation((1, 0, 2)).apply(i, 1)
 
+    def test_compose_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            Permutation((1, 0)).compose(Permutation((0, 2, 1)))
+
     def test_cycles(self):
         p = Permutation((0, 2, 1, 4, 5, 3))
         assert p.cycles() == ((0,), (1, 2), (3, 4, 5))
@@ -138,6 +144,26 @@ def test_value_types_hold_no_attribute_dict():
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(value, names[0])
         assert hash(value) == before
+
+
+def test_value_types_copy_and_pickle():
+    # Each value type rebuilds through its own public constructor.
+    z3 = cyclic_group(3)
+    moved = HomGroup(((0, 2, 1), (2, 1, 0), (1, 0, 2)), (1, 0, 2), unit=2, labels=("a", "b", "e"))
+    twisted = twist(z3, (0, 2, 1))
+    values = [z3.table, twisted.alpha, z3, twisted, moved, fixture("d3a")]
+    routes = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    for value in values:
+        for route in routes:
+            again = route(value)
+            assert type(again) is type(value) and again == value
+            assert hash(again) == hash(value)
+    assert type(z3) is FiniteGroup and type(twisted) is HomGroup
+    # A tampered payload is checked as the constructor checks it.
+    build, (table, *rest) = z3.__reduce__()
+    assert build is FiniteGroup
+    with pytest.raises(InvalidStructureError, match="not a group"):
+        build(twisted.table, *rest)
 
 
 class TestVerify:
@@ -387,6 +413,17 @@ class TestConstruction:
         again = fixture("z3a")
         assert again == z3a and hash(again) == hash(z3a)
         assert HomGroup(z3a.table, z3a.alpha, 0) != z3a  # labels differ
+        assert z3a.__eq__(1) is NotImplemented and z3a != 1
+
+    def test_only_table_unit_and_labels_are_stored(self, z3a):
+        assert HomGroup.__slots__ == ("table", "unit", "labels")
+        # The twist is the unit's row, read off the table on each access.
+        moved = HomGroup(((0, 2, 1), (2, 1, 0), (1, 0, 2)), (1, 0, 2), unit=2)
+        for G in (z3a, moved, cyclic_group(4)):
+            assert G.alpha.images is G.table.entries[G.unit]
+        assert repr(z3a) == "HomGroup(n=3, unit=0, alpha=[0, 2, 1])"
+        assert repr(moved) == "HomGroup(n=3, unit=2, alpha=[1, 0, 2])"
+        assert repr(cyclic_group(2)) == "FiniteGroup(n=2, unit=0, alpha=[0, 1])"
 
     def test_finite_group_rejects_nonassociative(self):
         loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1),

@@ -81,12 +81,18 @@ class TestFormalElements:
         y = x - FormalElement.basis(0)
         assert y == FormalElement({1: 2})
         assert (y - y) == FormalElement.zero()
+        assert repr(x) == "1*e0 + 2*e1" and repr(y - y) == "0"
+        assert hash(y) == hash(FormalElement([(1, 2), (0, 0)])) and len({y, y.scale(1)}) == 1
 
-    def test_tensor_rank_checked(self):
+    def test_tensor_rank_checked(self, z3a):
         with pytest.raises(ValueError):
             FormalTensor(2, {(0, 1, 2): 1})
         with pytest.raises(ValueError):
             FormalTensor(2, {(0, 1): 1}) + FormalTensor(3, {(0, 1, 2): 1})
+        A, pair = build_group_hopf(z3a), FormalTensor.basis((0, 1))
+        for x, y in ((FormalTensor.basis((0,)), pair), (pair, FormalTensor.basis((0, 1, 2)))):
+            with pytest.raises(ValueError, match="rank-2 tensors expected"):
+                A.tensor_product_of(x, y)
 
     # 2.0 == 2 and True == 1, so only the exact type keeps them out.
     @pytest.mark.parametrize("rank", [2.0, True, False, -1, "2", None])
@@ -122,6 +128,12 @@ class TestFormalElements:
         with pytest.raises(ValueError, match="rank mismatch"):
             (x + t) if element_first else (t + x)
         assert x != t and t != x
+        # Neither adds to nor equals what is not a sum.
+        for s in (x, t):
+            assert s.__add__(1) is NotImplemented and s.__eq__(1) is NotImplemented
+            with pytest.raises(TypeError):
+                s + 1
+            assert s != 1
 
     def test_tensor_equality(self):
         s = FormalTensor.basis((1, 1)) + FormalTensor.basis((2, 2))
@@ -186,6 +198,8 @@ class TestBuild:
         assert A.twist_of(FormalElement.basis(1)) == FormalElement.basis(2)
         with pytest.raises(ValueError):
             dataclasses.replace(A, alpha=(0, 2, 2))
+        with pytest.raises(ValueError, match="twist length mismatch"):
+            dataclasses.replace(A, alpha=(1, 0))
 
     def test_plain_table_is_converted(self, z3a):
         rows = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]

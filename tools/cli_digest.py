@@ -2,7 +2,8 @@
 
 The corpus is built from closed forms, not from the library: the cyclic
 groups Z_k and dihedral groups D_k for k <= 16 and Z2 x Z4, each twisted
-by a few automorphisms given by formula, Z4 with labels that JSON must
+by a few automorphisms given by formula, twists of D4 and Z6 and D4
+itself relabeled so that the unit is not 0, Z4 with labels that JSON must
 escape, plus malformed documents and command lines that must fail.  Every command runs in this process through
 homgroups.cli.main, the only name imported from the package.  For each
 command the tool prints the sha256 of its stdout followed by its exit
@@ -85,17 +86,37 @@ def _z2_z4_autos() -> list[list[int]]:
     return [[4 * (a % 2) + b % 4 for a, b in (f(i, j) for i, j in pairs)] for f in forms]
 
 
-def _document(table: list[list[int]], alpha: list[int], labels=None) -> dict:
-    """The twist of a group table by an automorphism alpha, unit 0."""
+def _document(table: list[list[int]], alpha: list[int], labels=None, p=None) -> dict:
+    """The twist of a group table with unit 0 by an automorphism alpha,
+    relabeled by p, so that old element i is new p[i]; by default p is the
+    identity and the unit stays 0."""
+    n = len(table)
+    p = p or list(range(n))
+    q = sorted(range(n), key=p.__getitem__)  # q[p[i]] = i
     doc = {
-        "order": len(table),
-        "unit": 0,
-        "alpha": alpha,
-        "table": [[alpha[v] for v in row] for row in table],
+        "order": n,
+        "unit": p[0],
+        "alpha": [p[alpha[q[i]]] for i in range(n)],
+        "table": [[p[alpha[table[q[i]][q[j]]]] for j in range(n)] for i in range(n)],
     }
     if labels is not None:
-        doc["labels"] = labels
+        doc["labels"] = [labels[q[i]] for i in range(n)]
     return doc
+
+
+def _affine(u: int, c: int, n: int) -> list[int]:
+    """The relabeling i -> u*i + c mod n, which moves the unit 0 to c."""
+    return [(u * i + c) % n for i in range(n)]
+
+
+def _moved(p: list[int], sub: range) -> str:
+    """The subgroup spec of sub's image under the relabeling p."""
+    return ",".join(map(str, sorted(p[x] for x in sub)))
+
+
+# Relabelings that move the unit of D4 to 5 and to 3 and that of Z6 to 4.
+MOVE_D4, MOVE_D4_GROUP, MOVE_Z6 = _affine(3, 5, 8), _affine(1, 3, 8), _affine(5, 4, 6)
+MOVED_GROUP = "dn4_moved_id.json"
 
 
 def valid_documents() -> list[tuple[str, dict, str]]:
@@ -117,6 +138,16 @@ def valid_documents() -> list[tuple[str, dict, str]]:
             out.append((f"dn{k}_{m}.json", _document(_dihedral(k), alpha, labels), rotations))
     for m, alpha in enumerate(_z2_z4_autos()):
         out.append((f"z2z4_{m}.json", _document(_z2_z4(), alpha), "0,2,4,6"))
+    # Documents whose unit is not 0, so the twist is not row 0.
+    d4, d4_autos = _dihedral(4), _dihedral_autos(4)
+    labels = [f"r{i}" for i in range(4)] + [f"r{i}s" for i in range(4)]
+    out += [
+        ("dn4_moved.json", _document(d4, d4_autos[1], labels, MOVE_D4), _moved(MOVE_D4, range(4))),
+        ("zn6_moved.json", _document(_cyclic(6), _cyclic_autos(6)[1], None, MOVE_Z6),
+         _moved(MOVE_Z6, range(0, 6, 2))),
+        (MOVED_GROUP, _document(d4, d4_autos[0], labels, MOVE_D4_GROUP),
+         _moved(MOVE_D4_GROUP, range(4))),
+    ]
     return out
 
 
@@ -204,6 +235,16 @@ def commands() -> list[list[str]]:
         # s is its own inverse, r = 1 is not: r^-1 = r^(k-1)
         cmds.append(["twist", "--group", f"dn:{k}", "--conjugate", str(k)])
         cmds.append(["twist", "--group", f"dn:{k}", "--conjugate", "1"])
+    # The automorphisms of D4 carried to the group whose unit is 3, and
+    # the twisted documents whose unit is not 0, which are no groups
+    p = MOVE_D4_GROUP
+    q = sorted(range(8), key=p.__getitem__)
+    for alpha in _dihedral_autos(4):
+        moved = [p[alpha[q[x]]] for x in range(8)]  # p alpha p^-1
+        cmds.append(["twist", "--group", MOVED_GROUP, "--auto", ",".join(map(str, moved))])
+    cmds.append(["twist", "--group", MOVED_GROUP, "--list-autos"])
+    for name, n in (("dn4_moved.json", 8), ("zn6_moved.json", 6)):
+        cmds.append(["twist", "--group", name, "--auto", ",".join(map(str, range(n)))])
     # z2z4_0.json has the identity twist, so it is a group; z2z4_1.json is not
     for alpha in _z2_z4_autos():
         cmds.append(["twist", "--group", "z2z4_0.json", "--auto", ",".join(map(str, alpha))])
