@@ -166,7 +166,7 @@ def _extensions(N: FiniteGroup, p: int) -> Iterator[FiniteGroup]:
         back = [phi.power(-j).images for j in range(p)]
         phi_p = phi.power(p)
         for a in range(m):
-            if phi(a) != a or phi_p != inner[a]:
+            if phi.images[a] != a or phi_p != inner[a]:
                 continue
             table = tuple(
                 tuple(

@@ -182,11 +182,16 @@ def load_hom_group(path: str) -> HomGroup:
         ) from None
 
 
-def report_lines(report: AxiomReport) -> list[str]:
-    lines = [f"valid: {'true' if report.valid else 'false'}"]
+def print_report(report: AxiomReport) -> int:
+    """Print the report, ending a failed one with its error tag, and return
+    the exit code."""
+    print(f"valid: {'true' if report.valid else 'false'}")
     for tag, witness in report.violations:
-        lines.append(f"violation: {tag} ({','.join(map(str, witness))})")
-    return lines
+        print(f"violation: {tag} ({','.join(map(str, witness))})")
+    if report.valid:
+        return EXIT_OK
+    print(f"error: {TAG_INVALID}")
+    return EXIT_CHECK_FAILED
 
 
 def render_text(G: HomGroup) -> str:
@@ -257,12 +262,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = parse_document(args.path)
     report = verify(_document_table(doc), doc["alpha"], doc["unit"])
     print(f"order: {doc['order']}")
-    for line in report_lines(report):
-        print(line)
-    if not report.valid:
-        print(f"error: {TAG_INVALID}")
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return print_report(report)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -345,12 +345,11 @@ def cmd_cauchy(args: argparse.Namespace) -> int:
 def cmd_twist(args: argparse.Namespace) -> int:
     G = _load_group_operand(args)
     if args.list_autos:
-        profile = _constructions._profile(G)  # one profile for the guard and the search
-        size = _constructions._search_size(profile)
+        size = _constructions._search_size(G)
         if size > LIST_AUTOS_GUARD and not args.force:
             msg = f"automorphism search may try {size} generator images, over the guard"
             raise CliFailure(f"{msg} of {LIST_AUTOS_GUARD}; pass --force to run it", TAG_GUARD)
-        for p in _constructions.automorphisms_of(G, profile):
+        for p in _constructions.automorphisms_of(G):
             print(",".join(map(str, p.images)))
         return EXIT_OK
     if args.conjugate is not None:
@@ -377,14 +376,7 @@ def cmd_hopf(args: argparse.Namespace) -> int:
         ok = all(G.n % d == 0 for d in dims)
         print(f"all divide |G|: {'true' if ok else 'false'}")
         return EXIT_OK
-    # Loading verified the table, twist and unit, so only the antipode laws are left.
-    report = _homhopf.verify_hom_hopf(_homhopf.build_group_hopf(G), axioms=AxiomReport(()))
-    for line in report_lines(report):
-        print(line)
-    if not report.valid:
-        print(f"error: {TAG_INVALID}")
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return print_report(_homhopf.verify_hom_hopf(_homhopf.build_group_hopf(G)))
 
 
 def cmd_cayley(args: argparse.Namespace) -> int:

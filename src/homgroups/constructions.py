@@ -182,22 +182,22 @@ def _isomorphisms(G: HomGroup, H: HomGroup, pg=(), kh=()) -> Iterator[Permutatio
     yield from extend(0)
 
 
-def automorphisms_of(G: HomGroup, profile: tuple = ()) -> list[Permutation]:
+def automorphisms_of(G: HomGroup) -> list[Permutation]:
     """All automorphisms of G, sorted by image sequence.
 
     For a group these are its group automorphisms; for a twisted structure
     they are the automorphisms of its untwisted group that commute with
-    the twist.  profile is G's _profile, computed here when left empty.
+    the twist.
     """
-    p = profile or _profile(G)
+    p = _profile(G)
     return sorted(_isomorphisms(G, G, p, p[1:]), key=lambda f: f.images)
 
 
-def _search_size(profile: tuple) -> int:
-    """The most generator-image tuples automorphisms_of(G) may try, from
-    G's _profile: the product over G's generators of the number of
-    elements sharing each generator's key."""
-    gens, keys, _ = profile
+def _search_size(G: HomGroup) -> int:
+    """The most generator-image tuples automorphisms_of(G) may try: the
+    product over G's generators of the number of elements sharing each
+    generator's key."""
+    gens, keys, _ = _profile(G)
     return math.prod(keys.count(keys[g]) for g in gens)
 
 

@@ -33,6 +33,13 @@ def _check_exponent(k: int) -> None:
         raise ValueError(f"exponent {k!r} is not an int")
 
 
+def _check_index(i: int, n: int, name: str = "index") -> None:
+    """Refuse all but an int in 0..n-1: True == 1 and 1.0 == 1 would pass
+    a range test, and a negative index would wrap round a sequence."""
+    if type(i) is not int or not 0 <= i < n:
+        raise ValueError(f"{name} {i!r} outside 0..{n - 1}")
+
+
 def _cycle(images: Sequence[int], i: int) -> list[int]:
     """The cycle through i of the permutation with these images, from i."""
     cycle = [i]
@@ -46,9 +53,7 @@ def _cycle(images: Sequence[int], i: int) -> list[int]:
 def _apply(images: Sequence[int], i: int, k: int) -> int:
     """Image of i under the k-th iterate of the permutation with these
     images; negative k walks the inverse."""
-    n = len(images)
-    if type(i) is not int or not 0 <= i < n:
-        raise ValueError(f"index {i!r} outside 0..{n - 1}")
+    _check_index(i, len(images))
     _check_exponent(k)
     cycle = _cycle(images, i)
     return cycle[k % len(cycle)]
@@ -79,6 +84,7 @@ class Permutation:
         return (Permutation, (self.images,))
 
     def __call__(self, i: int) -> int:
+        _check_index(i, len(self.images))
         return self.images[i]
 
     def __len__(self) -> int:
@@ -166,9 +172,11 @@ class CayleyTable:
         return len(self.entries)
 
     def row(self, i: int) -> tuple[int, ...]:
+        _check_index(i, len(self.entries))
         return self.entries[i]
 
     def col(self, j: int) -> tuple[int, ...]:
+        _check_index(j, len(self.entries))
         return tuple(row[j] for row in self.entries)
 
     def is_symmetric(self) -> bool:
@@ -387,8 +395,7 @@ def verify(table: TableLike, alpha: PermLike, unit: int) -> AxiomReport:
     n = table.n
     if len(alpha) != n:
         raise ValueError(f"twist length {len(alpha)} != carrier size {n}")
-    if type(unit) is not int or not 0 <= unit < n:
-        raise ValueError(f"unit {unit!r} outside 0..{n - 1}")
+    _check_index(unit, n, "unit")
     a = alpha.images
     rows = _repeat_witness(t, n)
 
@@ -514,6 +521,7 @@ class HomGroup:
         return range(self.table.n)
 
     def label(self, i: int) -> str:
+        _check_index(i, self.table.n)
         return self.labels[i] if self.labels is not None else str(i)
 
     def __eq__(self, other: object) -> bool:
@@ -560,21 +568,16 @@ class FiniteGroup(HomGroup):
         return (FiniteGroup, (self.table, self.unit, self.labels))
 
     def mul(self, a: int, b: int) -> int:
-        return self.table.entries[a][b]
+        return mul(self, a, b)
 
     def inv(self, a: int) -> int:
-        return self.table.entries[a].index(self.unit)
-
-
-def _check_index(G: HomGroup, i: int, name: str = "index") -> None:
-    if type(i) is not int or not 0 <= i < G.n:
-        raise ValueError(f"{name} {i!r} outside 0..{G.n - 1}")
+        return inverse_of(self, a)
 
 
 def mul(G: HomGroup, a: int, b: int) -> int:
     """Product a*b read off the Cayley table."""
-    _check_index(G, a)
-    _check_index(G, b)
+    _check_index(a, G.n)
+    _check_index(b, G.n)
     return G.table.entries[a][b]
 
 
@@ -585,7 +588,7 @@ def alpha_apply(G: HomGroup, a: int, k: int) -> int:
 
 def inverse_of(G: HomGroup, a: int) -> int:
     """The unique b with a*b = b*a = unit."""
-    _check_index(G, a)
+    _check_index(a, G.n)
     return G.table.entries[a].index(G.unit)
 
 
@@ -631,7 +634,7 @@ def power_orbit(G: HomGroup, x: int, side: Side = "right") -> PowerOrbit:
     x, x^2, x^3, ... are the cycle through x of that permutation, read from
     x: the period and the powers in order.
     """
-    _check_index(G, x)
+    _check_index(x, G.n)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     # x^m * x is read down column x, x * x^m along row x.

@@ -21,9 +21,10 @@ combinations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
-from .core import AxiomReport, CayleyTable, HomGroup, Permutation, _as_perm, _as_table, verify
+from .core import AxiomReport, CayleyTable, HomGroup, Permutation, _as_perm, _as_table
+from .core import _check_index, verify
 from .subgroups import center, enumerate_hom_subgroups
 
 
@@ -34,11 +35,23 @@ class _SparseSum:
     the sum it is called on.  Their keys come from keys already checked or
     from the structure tables, and sums and products of int coefficients
     are ints, so _like drops zeros but checks nothing; the constructors
-    check every key and coefficient they are given, and scale its factor.
-    Each subclass says with _matches which sums it can be added to or equal.
+    check every key, with the subclass's _check_key, and every coefficient
+    they are given, and scale its factor.  Each subclass says with _matches
+    which sums it can be added to or equal.
     """
 
     __slots__ = ("coeffs",)
+
+    def _take(self, coeffs: Union[Mapping, Iterable[tuple]]) -> None:
+        cleaned = {}
+        for k, v in (coeffs if isinstance(coeffs, dict) else dict(coeffs)).items():
+            self._check_key(k)
+            # 0.5 would make the sum inexact, and True is a bool posing as 1.
+            if type(v) is not int:
+                raise ValueError(f"coefficient {v!r} is not an int")
+            if v != 0:
+                cleaned[k] = v
+        self.coeffs = cleaned
 
     def _like(self, coeffs: dict) -> "_SparseSum":
         out = object.__new__(type(self))
@@ -63,10 +76,18 @@ class _SparseSum:
             out[k] = out.get(k, 0) + v
         return self._like(out)
 
+    def __sub__(self, other: "_SparseSum") -> "_SparseSum":
+        if not isinstance(other, _SparseSum):
+            return NotImplemented
+        return self + other.scale(-1)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _SparseSum):
             return NotImplemented
         return self._matches(other) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -85,17 +106,12 @@ class FormalElement(_SparseSum):
     __slots__ = ()
 
     def __init__(self, coeffs: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
-        cleaned = {}
-        for k, v in (coeffs if isinstance(coeffs, dict) else dict(coeffs)).items():
-            # True == 1, and a negative index would wrap round a table row.
-            if type(k) is not int or k < 0:
-                raise ValueError(f"basis index {k!r} is not an int >= 0")
-            # 0.5 would make the sum inexact, and True is a bool posing as 1.
-            if type(v) is not int:
-                raise ValueError(f"coefficient {v!r} is not an int")
-            if v != 0:
-                cleaned[k] = v
-        self.coeffs = cleaned
+        self._take(coeffs)
+
+    def _check_key(self, k: int) -> None:
+        # True == 1, and a negative index would wrap round a table row.
+        if type(k) is not int or k < 0:
+            raise ValueError(f"basis index {k!r} is not an int >= 0")
 
     @classmethod
     def basis(cls, i: int) -> "FormalElement":
@@ -104,12 +120,6 @@ class FormalElement(_SparseSum):
     @classmethod
     def zero(cls) -> "FormalElement":
         return cls()
-
-    def __sub__(self, other: "FormalElement") -> "FormalElement":
-        return self + other.scale(-1)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
 
 
 class FormalTensor(_SparseSum):
@@ -129,18 +139,14 @@ class FormalTensor(_SparseSum):
         if type(rank) is not int or rank < 0:
             raise ValueError(f"rank {rank!r} is not an int >= 0")
         self.rank = rank
-        cleaned = {}
-        for k, v in (coeffs if isinstance(coeffs, dict) else dict(coeffs)).items():
-            if type(k) is not tuple or len(k) != rank:
-                raise ValueError(f"key {k!r} is not a tuple of {rank} basis indices")
-            for i in k:
-                if type(i) is not int or i < 0:
-                    raise ValueError(f"key {k!r} holds {i!r}, not an int >= 0")
-            if type(v) is not int:
-                raise ValueError(f"coefficient {v!r} is not an int")
-            if v != 0:
-                cleaned[k] = v
-        self.coeffs = cleaned
+        self._take(coeffs)
+
+    def _check_key(self, k: tuple[int, ...]) -> None:
+        if type(k) is not tuple or len(k) != self.rank:
+            raise ValueError(f"key {k!r} is not a tuple of {self.rank} basis indices")
+        for i in k:
+            if type(i) is not int or i < 0:
+                raise ValueError(f"key {k!r} holds {i!r}, not an int >= 0")
 
     def _like(self, coeffs: dict) -> "FormalTensor":
         out = super()._like(coeffs)
@@ -184,8 +190,7 @@ class GroupHopfAlgebra:
                 raise ValueError(f"antipode[{i}] = {v!r} outside 0..{n - 1}")
         if len(self.alpha) != n:
             raise ValueError("twist length mismatch")
-        if type(self.unit) is not int or not 0 <= self.unit < n:
-            raise ValueError(f"unit {self.unit!r} outside 0..{n - 1}")
+        _check_index(self.unit, n, "unit")
 
     @property
     def n(self) -> int:
@@ -229,7 +234,7 @@ class GroupHopfAlgebra:
         return x._like(out)
 
     def twist_of(self, x: FormalElement) -> FormalElement:
-        return x._like({self.alpha(i): c for i, c in x.coeffs.items()})
+        return x._like({self.alpha.images[i]: c for i, c in x.coeffs.items()})
 
     def cotwist_of(self, x: FormalElement) -> FormalElement:
         return FormalElement(x.coeffs)
@@ -240,7 +245,7 @@ def build_group_hopf(G: HomGroup) -> GroupHopfAlgebra:
     return GroupHopfAlgebra(product=G.table, unit=G.unit, antipode=G.inverses, alpha=G.alpha)
 
 
-def verify_hom_hopf(A: GroupHopfAlgebra, axioms: Optional[AxiomReport] = None) -> AxiomReport:
+def verify_hom_hopf(A: GroupHopfAlgebra) -> AxiomReport:
     """Check the twisted Hopf axioms on the Cayley table.
 
     Every structure map sends basis elements to basis elements, so each
@@ -259,9 +264,7 @@ def verify_hom_hopf(A: GroupHopfAlgebra, axioms: Optional[AxiomReport] = None) -
     is its hom-associativity witness, and algebra-unit is (u,) when
     unit-fixed is reported, else the least of the unit-row and unit-col
     witnesses.  Only the antipode laws are checked here, since the antipode
-    is data that the table does not fix.  A caller that already holds that
-    report, as the CLI does for a structure it loaded, passes it as axioms,
-    and core.verify does not run again.
+    is data that the table does not fix.
 
     The other eight identities (coassociativity, counit, coproduct-product,
     coproduct-unit, counit-product, counit-unit, counit-twist and
@@ -273,7 +276,7 @@ def verify_hom_hopf(A: GroupHopfAlgebra, axioms: Optional[AxiomReport] = None) -
     t = A.product.entries
     s = A.antipode
     u = A.unit
-    laws = dict((verify(A.product, A.alpha, u) if axioms is None else axioms).violations)
+    laws = dict(verify(A.product, A.alpha, u).violations)
     unit_lines = [laws[tag] for tag in ("unit-row", "unit-col") if tag in laws]
     unit_hit = (u,) if "unit-fixed" in laws else min(unit_lines, default=None)
     witnesses = (

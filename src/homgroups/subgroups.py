@@ -184,7 +184,7 @@ def _coset(G: HomGroup, sub: SubsetHandle, g: int, side: Side) -> Coset:
     Rows and columns of a verified table are permutations, so g*H and H*g
     have |H| elements.
     """
-    _check_index(G, g)
+    _check_index(g, G.n)
     t = G.table.entries
     if side == "left":
         return Coset(representative=g, members=frozenset(t[g][h] for h in sub.members))
@@ -286,7 +286,7 @@ def centralizer(G: HomGroup, x: int) -> SubsetHandle:
     closed under the product when the twist moves x, so the result is not
     always a Hom-subgroup; use is_hom_subgroup to test the returned set.
     """
-    _check_index(G, x)
+    _check_index(x, G.n)
     t = G.table.entries
     members = frozenset(g for g in range(G.n) if t[g][x] == t[x][g])
     return SubsetHandle(members)

@@ -89,9 +89,11 @@ class TestPermutation:
 
     @pytest.mark.parametrize("i", [-3, -1, 3, True, 1.0, "1"])
     def test_apply_rejects_bad_index(self, i):
-        # the cycle walk from a negative index would never come back to it
-        with pytest.raises(ValueError, match="outside 0..2"):
-            Permutation((1, 0, 2)).apply(i, 1)
+        # the cycle walk from a negative index would never come back to it,
+        # and a lookup at -1 or True would read another element's image
+        for call in (lambda p: p.apply(i, 1), lambda p: p(i)):
+            with pytest.raises(ValueError, match="outside 0..2"):
+                call(Permutation((1, 0, 2)))
 
     def test_compose_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
@@ -462,12 +464,20 @@ class TestMul:
         with pytest.raises(ValueError):
             mul(z3a, 0, 3)
 
-    @pytest.mark.parametrize("bad", [True, False, 1.0])
+    @pytest.mark.parametrize("bad", [True, False, 1.0, -1])
     def test_index_must_be_an_int(self, z3a, bad):
-        # True would otherwise read row 1, and 1.0 fail with a TypeError
+        # True would otherwise read row 1, -1 the last row, and 1.0 fail
+        # with a TypeError
+        G = cyclic_group(3)
         for call in (
             lambda: mul(z3a, bad, 1),
             lambda: mul(z3a, 0, bad),
+            lambda: G.mul(bad, 1),
+            lambda: G.mul(0, bad),
+            lambda: G.inv(bad),
+            lambda: z3a.label(bad),
+            lambda: z3a.table.row(bad),
+            lambda: z3a.table.col(bad),
             lambda: alpha_apply(z3a, bad, 1),
             lambda: inverse_of(z3a, bad),
             lambda: left_divide(z3a, bad, 0),

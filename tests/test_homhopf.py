@@ -83,6 +83,8 @@ class TestFormalElements:
         assert (y - y) == FormalElement.zero()
         assert repr(x) == "1*e0 + 2*e1" and repr(y - y) == "0"
         assert hash(y) == hash(FormalElement([(1, 2), (0, 0)])) and len({y, y.scale(1)}) == 1
+        s, t = FormalTensor(2, {(0, 0): 1}), FormalTensor.basis((0, 0))
+        assert s == t and hash(s) == hash(t) and len({s, t}) == 1
 
     def test_tensor_rank_checked(self, z3a):
         with pytest.raises(ValueError):
@@ -128,11 +130,13 @@ class TestFormalElements:
         with pytest.raises(ValueError, match="rank mismatch"):
             (x + t) if element_first else (t + x)
         assert x != t and t != x
-        # Neither adds to nor equals what is not a sum.
+        # Neither adds to, subtracts nor equals what is not a sum.
         for s in (x, t):
-            assert s.__add__(1) is NotImplemented and s.__eq__(1) is NotImplemented
-            with pytest.raises(TypeError):
-                s + 1
+            for op in (s.__add__, s.__sub__, s.__eq__):
+                assert op(1) is NotImplemented
+            for op in (lambda: s + 1, lambda: s - 3):
+                with pytest.raises(TypeError):
+                    op()
             assert s != 1
 
     def test_tensor_equality(self):
