@@ -21,6 +21,7 @@ combinations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .core import AxiomReport, CayleyTable, HomGroup, Permutation, _as_perm, _as_table
@@ -31,32 +32,46 @@ from .subgroups import center, enumerate_hom_subgroups
 class _SparseSum:
     """Sparse integer combination of basis keys; zeros are not stored.
 
-    Results are built with _like(coeffs), which keeps the type and rank of
-    the sum it is called on.  Their keys come from keys already checked or
-    from the structure tables, and sums and products of int coefficients
-    are ints, so _like drops zeros but checks nothing; the constructors
-    check every key, with the subclass's _check_key, and every coefficient
-    they are given, and scale its factor.  Each subclass says with _matches
-    which sums it can be added to or equal.
+    A sum is read-only: coeffs is a read-only view of the private _coeffs
+    dict, so a sum cannot change after it is hashed.  The constructors
+    check every key, with the subclass's _check_key, and every
+    coefficient they are given, and refuse a key repeated in a sequence
+    of pairs; a mapping cannot repeat a key.  Results are built with
+    _like(coeffs), which keeps the type and the other slots (a tensor's
+    rank) of the sum it is called on and takes coeffs as given: each map
+    builds its dict in one pass and leaves no zero in it, copying it only
+    when terms cancel, and checks nothing, since its keys come from keys
+    already checked or from the structure tables and sums and products of
+    int coefficients are ints.  Each subclass says with _matches which
+    sums it can be added to or equal.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs",)
 
     def _take(self, coeffs: Union[Mapping, Iterable[tuple]]) -> None:
+        if not isinstance(coeffs, dict):
+            coeffs = dict(coeffs) if isinstance(coeffs, Mapping) else _unique_pairs(coeffs)
         cleaned = {}
-        for k, v in (coeffs if isinstance(coeffs, dict) else dict(coeffs)).items():
+        for k, v in coeffs.items():
             self._check_key(k)
             # 0.5 would make the sum inexact, and True is a bool posing as 1.
             if type(v) is not int:
                 raise ValueError(f"coefficient {v!r} is not an int")
             if v != 0:
                 cleaned[k] = v
-        self.coeffs = cleaned
+        self._coeffs = cleaned
 
     def _like(self, coeffs: dict) -> "_SparseSum":
         out = object.__new__(type(self))
-        out.coeffs = {k: v for k, v in coeffs.items() if v != 0}
+        out._coeffs = coeffs
+        # The subclass's own slots: none for an element, the rank for a tensor.
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
         return out
+
+    @property
+    def coeffs(self) -> Mapping:
+        return MappingProxyType(self._coeffs)
 
     def _matches(self, other: "_SparseSum") -> bool:
         return type(other) is type(self)
@@ -64,35 +79,51 @@ class _SparseSum:
     def scale(self, c: int) -> "_SparseSum":
         if type(c) is not int:
             raise ValueError(f"coefficient {c!r} is not an int")
-        return self._like({k: c * v for k, v in self.coeffs.items()})
+        return self._like({k: c * v for k, v in self._coeffs.items()} if c else {})
 
-    def __add__(self, other: "_SparseSum") -> "_SparseSum":
+    def _plus(self, other: "_SparseSum", sign: int) -> "_SparseSum":
         if not isinstance(other, _SparseSum):
             return NotImplemented
         if not self._matches(other):
             raise ValueError("rank mismatch")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return self._like(out)
+        out = dict(self._coeffs)
+        get = out.get
+        for k, v in other._coeffs.items():
+            out[k] = get(k, 0) + sign * v
+        return self._like(_nonzero(out))
+
+    def __add__(self, other: "_SparseSum") -> "_SparseSum":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "_SparseSum") -> "_SparseSum":
-        if not isinstance(other, _SparseSum):
-            return NotImplemented
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _SparseSum):
             return NotImplemented
-        return self._matches(other) and self.coeffs == other.coeffs
+        return self._matches(other) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        return hash(frozenset(self._coeffs.items()))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self._coeffs:
             return "0"
-        return " + ".join(f"{v}*e{k}" for k, v in sorted(self.coeffs.items()))
+        return " + ".join(f"{v}*e{k}" for k, v in sorted(self._coeffs.items()))
+
+
+def _unique_pairs(pairs: Iterable[tuple]) -> dict:
+    """The dict of (key, coefficient) pairs; a repeated key raises ValueError."""
+    out = {}
+    for k, v in pairs:
+        if k in out:
+            raise ValueError(f"key {k!r} is repeated")
+        out[k] = v
+    return out
+
+
+def _nonzero(coeffs: dict) -> dict:
+    return coeffs if all(coeffs.values()) else {k: v for k, v in coeffs.items() if v}
 
 
 class FormalElement(_SparseSum):
@@ -131,11 +162,7 @@ class FormalTensor(_SparseSum):
 
     __slots__ = ("rank",)
 
-    def __init__(
-        self,
-        rank: int,
-        coeffs: Union[Mapping[tuple[int, ...], int], Iterable[tuple[tuple[int, ...], int]]] = (),
-    ):
+    def __init__(self, rank: int, coeffs: Union[Mapping[tuple, int], Iterable[tuple]] = ()):
         if type(rank) is not int or rank < 0:
             raise ValueError(f"rank {rank!r} is not an int >= 0")
         self.rank = rank
@@ -147,11 +174,6 @@ class FormalTensor(_SparseSum):
         for i in k:
             if type(i) is not int or i < 0:
                 raise ValueError(f"key {k!r} holds {i!r}, not an int >= 0")
-
-    def _like(self, coeffs: dict) -> "FormalTensor":
-        out = super()._like(coeffs)
-        out.rank = self.rank
-        return out
 
     def _matches(self, other: _SparseSum) -> bool:
         return type(other) is FormalTensor and other.rank == self.rank
@@ -200,44 +222,70 @@ class GroupHopfAlgebra:
         return FormalElement.basis(self.unit)
 
     def product_of(self, x: FormalElement, y: FormalElement) -> FormalElement:
+        """Sum the products in a list of length n when there are at least n
+        of them, else in a dict."""
         t = self.product.entries
+        xs, ys = x._coeffs, y._coeffs.items()
+        if len(xs) * len(ys) >= self.n:
+            dense = [0] * self.n
+            for i, ci in xs.items():
+                row = t[i]
+                for j, cj in ys:
+                    dense[row[j]] += ci * cj
+            return x._like({k: v for k, v in enumerate(dense) if v})
         out: dict[int, int] = {}
-        for i, ci in x.coeffs.items():
-            for j, cj in y.coeffs.items():
-                k = t[i][j]
-                out[k] = out.get(k, 0) + ci * cj
-        return x._like(out)
+        get = out.get
+        for i, ci in xs.items():
+            row = t[i]
+            for j, cj in ys:
+                k = row[j]
+                out[k] = get(k, 0) + ci * cj
+        return x._like(_nonzero(out))
 
     def tensor_product_of(self, x: FormalTensor, y: FormalTensor) -> FormalTensor:
         """Componentwise product (a (x) b)(c (x) d) = ac (x) bd on rank-2 tensors."""
         if x.rank != 2 or y.rank != 2:
             raise ValueError("rank-2 tensors expected")
         t = self.product.entries
+        ys = y._coeffs.items()
         out: dict[tuple[int, ...], int] = {}
-        for (a, b), cx in x.coeffs.items():
-            for (c, d), cy in y.coeffs.items():
-                key = (t[a][c], t[b][d])
-                out[key] = out.get(key, 0) + cx * cy
-        return x._like(out)
+        get = out.get
+        for (a, b), cx in x._coeffs.items():
+            ra, rb = t[a], t[b]
+            for (c, d), cy in ys:
+                key = (ra[c], rb[d])
+                out[key] = get(key, 0) + cx * cy
+        return x._like(_nonzero(out))
 
     def coproduct_of(self, x: FormalElement) -> FormalTensor:
-        return FormalTensor(2)._like({(i, i): c for i, c in x.coeffs.items()})
+        # g -> g (x) g is injective, so the sum keeps its terms, none zero.
+        out = object.__new__(FormalTensor)
+        out.rank = 2
+        out._coeffs = {(i, i): c for i, c in x._coeffs.items()}
+        return out
 
     def counit_of(self, x: FormalElement) -> int:
-        return sum(x.coeffs.values())
+        return sum(x._coeffs.values())
 
     def antipode_of(self, x: FormalElement) -> FormalElement:
-        out: dict[int, int] = {}
-        for i, c in x.coeffs.items():
-            k = self.antipode[i]
-            out[k] = out.get(k, 0) + c
+        """Move each term to its antipode image; the antipode need not be
+        injective, so terms are summed when two images meet."""
+        s, xs = self.antipode, x._coeffs
+        out = {s[i]: c for i, c in xs.items()}
+        if len(out) < len(xs):
+            out = {}
+            for i, c in xs.items():
+                out[s[i]] = out.get(s[i], 0) + c
+            out = _nonzero(out)
         return x._like(out)
 
     def twist_of(self, x: FormalElement) -> FormalElement:
-        return x._like({self.alpha.images[i]: c for i, c in x.coeffs.items()})
+        # alpha is a permutation, so the sum keeps its terms, none zero.
+        a = self.alpha.images
+        return x._like({a[i]: c for i, c in x._coeffs.items()})
 
     def cotwist_of(self, x: FormalElement) -> FormalElement:
-        return FormalElement(x.coeffs)
+        return x
 
 
 def build_group_hopf(G: HomGroup) -> GroupHopfAlgebra:

@@ -462,3 +462,39 @@ def hopf_violations_by_scan(table, alpha, unit, antipode):
     if antipode[unit] != unit:
         found.append(("antipode-unit", (unit,)))
     return found
+
+
+def formal_maps_by_loops(table, alpha, antipode):
+    """The structure maps of the span of a table, and the linear operations,
+    on plain {key: int} dicts, as a dict of functions keyed by name.
+
+    Each map sends every term, or every pair of terms, through the table,
+    twist or antipode with nested loops, sums the terms that land on the
+    same key, and drops the keys whose sum is 0."""
+
+    def collect(terms):
+        out = {}
+        for k, v in terms:
+            out[k] = out.get(k, 0) + v
+        return {k: v for k, v in out.items() if v != 0}
+
+    def product(x, y):
+        return collect((table[i][j], a * b) for i, a in x.items() for j, b in y.items())
+
+    def tensor_product(x, y):
+        return collect(
+            ((table[a][c], table[b][d]), u * v)
+            for (a, b), u in x.items()
+            for (c, d), v in y.items()
+        )
+
+    return {
+        "product": product,
+        "tensor_product": tensor_product,
+        "coproduct": lambda x: collect(((i, i), v) for i, v in x.items()),
+        "antipode": lambda x: collect((antipode[i], v) for i, v in x.items()),
+        "twist": lambda x: collect((alpha[i], v) for i, v in x.items()),
+        "scale": lambda x, c: collect((k, c * v) for k, v in x.items()),
+        "add": lambda x, y: collect([*x.items(), *y.items()]),
+        "sub": lambda x, y: collect([*x.items(), *((k, -v) for k, v in y.items())]),
+    }

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,11 @@ from homgroups import (
     HomGroup,
     Permutation,
     SearchConfig,
+    automorphisms_of,
     build_group_hopf,
     center_hopf_dim,
     cyclic_group,
+    dihedral_group,
     enumerate_hom_groups,
     fixture,
     is_abelian,
@@ -25,7 +28,7 @@ from homgroups import (
     twist,
     verify_hom_hopf,
 )
-from oracles import hopf_violations_by_scan
+from oracles import formal_maps_by_loops, hopf_violations_by_scan
 
 TRIVIAL = HomGroup(((0,),), (0,), 0)
 
@@ -163,6 +166,49 @@ class TestFormalElements:
         coeffs[2] = 5
         assert x.coeffs == {0: 1}
 
+    def test_sums_are_read_only(self):
+        x = FormalElement.basis(0)
+        s = {x}
+        with pytest.raises(TypeError):
+            x.coeffs[True] = 0.5
+        with pytest.raises(AttributeError):
+            x.coeffs = {}
+        t = FormalTensor.basis((0, 1))
+        with pytest.raises(TypeError):
+            t.coeffs[(0, 1)] = 2
+        assert x in s and repr(x) == "1*e0" and x == FormalElement.basis(0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FormalElement([(0, 1), (0, 2)]),
+            lambda: FormalElement([(0, 1), (0, 0)]),
+            lambda: FormalTensor(2, [((0, 1), 1), ((0, 1), -1)]),
+        ],
+    )
+    def test_repeated_pair_keys_refused(self, build):
+        with pytest.raises(ValueError, match=re.escape("key ") + r"(0|\(0, 1\)) is repeated"):
+            build()
+
+    def test_mapping_input_is_taken_as_is(self):
+        x = FormalElement({0: 1, 2: -3})
+        assert FormalElement(x.coeffs) == x and FormalTensor(2, {(0, 1): 2}).coeffs == {(0, 1): 2}
+
+    def test_cancelling_products_are_zero(self):
+        z2 = build_group_hopf(cyclic_group(2))
+        e = FormalElement.basis
+        assert z2.product_of(e(0) - e(1), e(0) + e(1)) == FormalElement.zero()
+        # Four products on eight slots are summed in a dict, not a list.
+        z8 = build_group_hopf(cyclic_group(8))
+        assert z8.product_of(e(0) - e(1), e(0) + e(1)) == e(0) - e(2)
+
+    def test_antipode_that_is_not_injective_sums_its_terms(self):
+        table = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        A = GroupHopfAlgebra(product=table, unit=0, antipode=(0, 0, 0), alpha=(0, 1, 2))
+        e = FormalElement.basis
+        assert A.antipode_of(e(1).scale(2) + e(2).scale(3)) == e(0).scale(5)
+        assert A.antipode_of(e(1).scale(2) - e(2).scale(2)) == FormalElement.zero()
+
     def test_structure_maps_reject_indices_past_the_carrier(self, z5a):
         A = build_group_hopf(z5a)
         e1 = FormalElement.basis(1)
@@ -172,6 +218,77 @@ class TestFormalElements:
                 A.product_of(bad, e1)
             with pytest.raises(IndexError):
                 A.antipode_of(bad)
+
+
+@cache
+def _automorphisms(kind, k):
+    G = cyclic_group(k) if kind == "zn" else dihedral_group(k)
+    return G, automorphisms_of(G)
+
+
+class TestFormalMapsAgainstLoops:
+    """The structure maps and linear operations on random int sums with
+    cancelling terms, against plain dict loops over the same table."""
+
+    @staticmethod
+    def _sum(data, n, size, pairs=False):
+        # Keys from a window of at most n indices, so that terms often meet.
+        low = next(h for h in range(1, n + 1) if (h * h if pairs else h) >= size)
+        hi = data.draw(st.integers(low, n))
+        key = st.integers(0, hi - 1)
+        key = st.tuples(key, key) if pairs else key
+        keys = data.draw(st.lists(key, min_size=size, max_size=size, unique=True))
+        return {k: data.draw(st.integers(-3, 3).filter(bool)) for k in keys}
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_maps_match_loop_oracle(self, data):
+        kind = data.draw(st.sampled_from(["zn", "dn"]))
+        # Carriers of 2 to 64 points: Z_k has k of them and D_k has 2k.
+        k = data.draw(st.integers(2, 64) if kind == "zn" else st.integers(1, 32))
+        G, autos = _automorphisms(kind, k)
+        G = twist(G, data.draw(st.sampled_from(autos)))
+        n, A = G.n, build_group_hopf(G)
+        maps = formal_maps_by_loops(G.table.entries, G.alpha.images, G.inverses)
+        # Sizes on both sides of len(x) * len(y) = n, where product_of
+        # switches from a dict to a list of length n.
+        if data.draw(st.booleans()):
+            lx = data.draw(st.integers(1, min(n, 12)))
+            ly = data.draw(st.integers(-(-n // lx), n))
+        else:
+            lx = data.draw(st.integers(1, min(n - 1, 12)))
+            ly = data.draw(st.integers(1, (n - 1) // lx))
+        x, y = self._sum(data, n, lx), self._sum(data, n, ly)
+        fx, fy = FormalElement(x), FormalElement(y)
+        sizes = st.integers(0, min(n * n, 12))
+        tx, ty = (self._sum(data, n, data.draw(sizes), pairs=True) for _ in "xy")
+        c = data.draw(st.integers(-3, 3))
+        got = {
+            "product": A.product_of(fx, fy),
+            "tensor_product": A.tensor_product_of(FormalTensor(2, tx), FormalTensor(2, ty)),
+            "coproduct": A.coproduct_of(fx),
+            "coproducts": A.tensor_product_of(A.coproduct_of(fx), A.coproduct_of(fy)),
+            "antipode": A.antipode_of(fx),
+            "twist": A.twist_of(fx),
+            "scale": fx.scale(c),
+            "add": fx + fy,
+            "sub": fx - fy,
+        }
+        want = {
+            "product": maps["product"](x, y),
+            "tensor_product": maps["tensor_product"](tx, ty),
+            "coproduct": maps["coproduct"](x),
+            "coproducts": maps["tensor_product"](maps["coproduct"](x), maps["coproduct"](y)),
+            "antipode": maps["antipode"](x),
+            "twist": maps["twist"](x),
+            "scale": maps["scale"](x, c),
+            "add": maps["add"](x, y),
+            "sub": maps["sub"](x, y),
+        }
+        for name, out in got.items():
+            assert dict(out.coeffs) == want[name], name
+            assert all(type(v) is int for v in out.coeffs.values()), name
+        assert fx - fx == FormalElement.zero() and fx + fx.scale(-1) == FormalElement.zero()
 
 
 class TestBuild:
